@@ -155,7 +155,7 @@ func main() {
 	maxQueueDepth := flag.Int("max-queue-depth", 0, "admission limit: reject new submissions while this many cells are pending on the work queue (-serve; 0 = unlimited)")
 	brownoutMB := flag.Int("brownout-mb", 0, "heap watermark in MiB: above it the coordinator browns out — verification sampling and scrub passes pause until the heap recedes (-serve; 0 = off)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "how long a SIGTERM drain waits for in-flight leases before giving up (-serve; 0 = 2×lease TTL + 5s)")
-	poll := flag.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts when the queue is empty (-worker) and between status polls (-submit)")
+	poll := flag.Duration("poll", 500*time.Millisecond, "wait between campaign status polls (-submit)")
 	workerName := flag.String("worker-name", "", "worker identity in lease records (default hostname-pid)")
 	authToken := flag.String("auth-token", os.Getenv("SECBENCH_AUTH_TOKEN"), "shared bearer token: required by -serve on every endpoint except /v1/healthz, sent by -worker and -submit (default $SECBENCH_AUTH_TOKEN)")
 	tlsCert := flag.String("tls-cert", "", "TLS certificate file for -serve (with -tls-key, the coordinator terminates TLS)")
@@ -202,7 +202,7 @@ func main() {
 
 	switch {
 	case *workerMode:
-		runWorker(ctx, *coordinator, *storeDir, *workerName, *poll, *authToken, *faults, *byzantine, *quiet)
+		runWorker(ctx, *coordinator, *storeDir, *workerName, *authToken, *faults, *byzantine, *quiet)
 		return
 	case *submitMode:
 		spec := campaignSpec(*exp, *workloads, *gpus, *scale, *seed, *par, *simWorkers, *retries, *cellTimeout, *priority, *deadline)
@@ -525,7 +525,7 @@ func newCampaignClient(coordinator, authToken, faults string, logf func(string, 
 // runWorker leases and executes cells until interrupted. A quarantined
 // worker exits non-zero instead of retrying: the coordinator has stopped
 // trusting this identity, so polling on would only burn its CPU.
-func runWorker(ctx context.Context, coordinator, storeDir, name string, poll time.Duration, authToken, faults, byzantine string, quiet bool) {
+func runWorker(ctx context.Context, coordinator, storeDir, name, authToken, faults, byzantine string, quiet bool) {
 	if coordinator == "" {
 		fatal(errors.New("-worker requires -coordinator URL"))
 	}
@@ -555,7 +555,7 @@ func runWorker(ctx context.Context, coordinator, storeDir, name string, poll tim
 		}
 	}
 	w := campaign.NewWorker(newCampaignClient(coordinator, authToken, faults, logf), campaign.WorkerOptions{
-		Name: name, Store: st, Poll: poll, Byzantine: byzSpec, Logf: logf,
+		Name: name, Store: st, Byzantine: byzSpec, Logf: logf,
 	})
 	err := w.Run(ctx)
 	ws := w.Stats()

@@ -26,11 +26,16 @@ import (
 //	GET    /v1/campaigns/{id}         status                   -> 200 Status
 //	DELETE /v1/campaigns/{id}         cancel                   -> 200 Status
 //	GET    /v1/campaigns/{id}/tables  finished tables          -> 200 tablesResponse
-//	POST   /v1/lease                  lease a cell             -> 200 wireGrant | 204 | 403 (quarantined) | 503 (draining)
+//	POST   /v1/lease                  lease a cell             -> 200 wireGrant | 204 after wait_ms | 403 (quarantined) | 503 (draining)
 //	POST   /v1/lease/{id}/renew       heartbeat                -> 204 | 410
 //	POST   /v1/lease/{id}/complete    publish a result         -> 204 (admitted/vote/duplicate) | 409 (rejected)
 //	POST   /v1/lease/{id}/fail        report a failed attempt  -> 204 (idempotent)
 //	GET    /v1/healthz                liveness + metrics       -> 200 Health (no auth)
+//
+// POST /v1/lease is a long poll: with wait_ms > 0 an empty queue holds
+// the request until a cell becomes grantable, the hold (capped at
+// maxLeaseHold) ends with 204, or a drain or shutdown answers 503 +
+// Retry-After. wait_ms 0 answers at once.
 //
 // POST /v1/campaigns honours an Idempotency-Key header: re-submitting
 // the same key returns the original campaign instead of starting a
@@ -90,10 +95,20 @@ type wireGrant struct {
 	Attempt int  `json:"attempt"`
 }
 
-// leaseRequest asks for work.
+// leaseRequest asks for work. WaitMS > 0 holds the request open up to
+// that long (capped at maxLeaseHold) while nothing is grantable.
 type leaseRequest struct {
 	Worker string `json:"worker"`
+	WaitMS int64  `json:"wait_ms,omitempty"`
 }
+
+// leaseHold is how long Client.Lease asks the coordinator to hold an
+// empty-queue lease request, well inside the default client's 60s HTTP
+// timeout; maxLeaseHold caps what any client may ask for.
+const (
+	leaseHold    = 20 * time.Second
+	maxLeaseHold = 30 * time.Second
+)
 
 // completeRequest publishes a cell's result. Fence is the grant's
 // fencing token; ResultDigest is the worker's attestation of the
@@ -284,24 +299,65 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = r.RemoteAddr
 	}
-	if c.Draining() {
-		// A draining coordinator grants nothing new: workers back off
-		// and the in-flight leases run down.
-		writeRetryAfter(w, 5*time.Second)
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("campaign: coordinator is draining"))
-		return
+	hold := min(time.Duration(req.WaitMS)*time.Millisecond, maxLeaseHold)
+	var expired, recheck <-chan time.Time // nil (never ready) without a hold
+	if hold > 0 {
+		timer := time.NewTimer(hold)
+		defer timer.Stop()
+		// Hedges are time-based, not enqueue-driven: re-check as often
+		// as the expiry collector runs.
+		tick := time.NewTicker(c.expiryPeriod())
+		defer tick.Stop()
+		expired, recheck = timer.C, tick.C
 	}
-	g, ok, err := c.queue.Lease(req.Worker)
-	if err != nil {
-		// A quarantined worker gets a hard 403: its answers are no
-		// longer trusted, so it should stop burning leases.
-		writeError(w, http.StatusForbidden, err)
-		return
+	for {
+		if r.Context().Err() != nil {
+			return // the client gave up; a grant now would only be lost
+		}
+		if c.Draining() {
+			// A draining coordinator grants nothing new: workers back off
+			// and the in-flight leases run down.
+			writeRetryAfter(w, 5*time.Second)
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("campaign: coordinator is draining"))
+			return
+		}
+		// Take the ready signal before looking, so a cell enqueued
+		// between the look and the wait still wakes this request.
+		ready := c.queue.Ready()
+		g, ok, err := c.queue.Lease(req.Worker)
+		if err != nil {
+			// A quarantined worker gets a hard 403: its answers are no
+			// longer trusted, so it should stop burning leases.
+			writeError(w, http.StatusForbidden, err)
+			return
+		}
+		if ok {
+			writeGrant(w, g)
+			return
+		}
+		if hold <= 0 {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		select {
+		case <-ready:
+		case <-recheck:
+		case <-c.drainStart:
+		case <-expired:
+			w.WriteHeader(http.StatusNoContent)
+			return
+		case <-c.stop:
+			writeRetryAfter(w, time.Second)
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("campaign: coordinator is shutting down"))
+			return
+		case <-r.Context().Done():
+			return
+		}
 	}
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
+}
+
+// writeGrant answers a lease request with its grant.
+func writeGrant(w http.ResponseWriter, g Grant) {
 	writeJSON(w, http.StatusOK, wireGrant{
 		Lease:  g.Lease,
 		Fence:  g.Fence,
@@ -439,6 +495,7 @@ func Serve(ctx context.Context, addr string, opts Options) error {
 	c := NewCoordinator(opts)
 	defer c.Close()
 	srv := &http.Server{Addr: addr, Handler: c.Handler()}
+	srv.RegisterOnShutdown(c.halt)
 	ln := opts.Listener
 	if ln == nil {
 		var err error

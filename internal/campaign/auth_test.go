@@ -82,7 +82,7 @@ func TestAuthRejectsUnauthenticatedRequests(t *testing.T) {
 }
 
 func TestAuthAcceptsTokenedRequests(t *testing.T) {
-	_, url := newAuthedService(t, "hunter2")
+	coord, url := newAuthedService(t, "hunter2")
 	ctx := context.Background()
 	client := NewClient(url, nil)
 	client.SetToken("hunter2")
@@ -95,8 +95,10 @@ func TestAuthAcceptsTokenedRequests(t *testing.T) {
 	if err != nil || final.State != StateDone {
 		t.Fatalf("tokened campaign: state=%s err=%v", final.State, err)
 	}
-	if _, _, err := client.Lease(ctx, "w"); err != nil {
-		t.Fatalf("tokened lease: %v", err)
+	// A pending cell makes the lease answer at once instead of holding.
+	coord.Queue().Enqueue(testCell(t, 1), 1, 0, make(chan Outcome, 1))
+	if _, ok, err := client.Lease(ctx, "w"); err != nil || !ok {
+		t.Fatalf("tokened lease: ok=%v err=%v", ok, err)
 	}
 }
 

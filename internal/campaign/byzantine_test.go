@@ -338,7 +338,7 @@ func TestWorkerRunExitsOnQuarantine(t *testing.T) {
 	coord, client, _ := newService(t, time.Minute)
 	coord.Queue().QuarantineWorker("pariah", "operator action")
 
-	w := NewWorker(client, WorkerOptions{Name: "pariah", Poll: 5 * time.Millisecond, Logf: t.Logf})
+	w := NewWorker(client, WorkerOptions{Name: "pariah", Logf: t.Logf})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := w.Run(ctx)
@@ -417,13 +417,13 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	honest := NewWorker(client, WorkerOptions{Name: "honest", Store: st, Poll: 25 * time.Millisecond, Logf: t.Logf})
+	honest := NewWorker(client, WorkerOptions{Name: "honest", Store: st, Logf: t.Logf})
 	go honest.Run(wctx)
 	// The byzantine worker gets NO store handle: a malicious process
 	// inside the store's trust boundary could poison objects directly —
 	// the defense boundary is the publish API.
 	evil := NewWorker(client, WorkerOptions{
-		Name: "evil", Poll: 5 * time.Millisecond,
+		Name:      "evil",
 		Byzantine: ByzantineSpec{Seed: 3, Corrupt: 1},
 		Logf:      t.Logf,
 	})

@@ -444,14 +444,18 @@ func (cl *Client) Health(ctx context.Context) (Health, error) {
 
 // ---- Worker side ----
 
-// Lease asks for one cell of work. ok=false means the queue is empty.
-// Retrying a lease request is safe: a grant whose response was lost is
-// reclaimed by lease expiry. A 403 — the coordinator quarantined this
-// worker — is surfaced as ErrWorkerQuarantined (errors.Is-able) and
-// should be treated as terminal.
+// Lease asks for one cell of work. The coordinator holds the request
+// open while its queue is empty, for up to leaseHold, and answers as
+// soon as a cell becomes grantable; ok=false means the hold ended with
+// nothing to do. Retrying a lease request is safe: a grant whose
+// response was lost is reclaimed by lease expiry. A 403 — the
+// coordinator quarantined this worker — is surfaced as
+// ErrWorkerQuarantined (errors.Is-able) and should be treated as
+// terminal.
 func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error) {
 	var wg wireGrant
-	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &wg, true, "", "")
+	req := leaseRequest{Worker: worker, WaitMS: leaseHold.Milliseconds()}
+	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", req, &wg, true, "", "")
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Status == http.StatusForbidden {

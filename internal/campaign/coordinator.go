@@ -174,11 +174,12 @@ type Coordinator struct {
 	maxCampaigns  int
 	maxQueueDepth int
 	brownoutBytes uint64
-	brownout      atomic.Bool  // heap above watermark: amplification paused
-	brownouts     atomic.Int64 // transitions into brownout
-	rejected      atomic.Int64 // submissions refused with 429
-	draining      atomic.Bool  // SIGTERM drain in progress: no new leases
-	cleanBoot     bool         // previous process exited via drain record
+	brownout      atomic.Bool   // heap above watermark: amplification paused
+	brownouts     atomic.Int64  // transitions into brownout
+	rejected      atomic.Int64  // submissions refused with 429
+	draining      atomic.Bool   // SIGTERM drain in progress: no new leases
+	drainStart    chan struct{} // closed when a drain starts; wakes held leases
+	cleanBoot     bool          // previous process exited via drain record
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
@@ -193,6 +194,8 @@ type Coordinator struct {
 	bg       context.Context
 	bgCancel context.CancelFunc
 
+	// stop ends the background loops and releases held lease requests;
+	// closed by Close or by the HTTP server's shutdown (see halt).
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -213,14 +216,15 @@ type ScrubHealth struct {
 }
 
 // Campaign is one submitted experiment set and its execution state. A
-// tombstone (terminal campaign rehydrated from the control journal after
-// a restart) has no engine; its status is served from the journal and
-// its tables can be regenerated by re-submitting the identical spec,
-// which the store serves without re-simulation.
+// finished campaign drops its engine (and with it the engine's result
+// cache), keeping only the engine's final counters. A tombstone (terminal
+// campaign rehydrated from the control journal after a restart) never had
+// one; its status is served from the journal and its tables can be
+// regenerated by re-submitting the identical spec, which the store serves
+// without re-simulation.
 type Campaign struct {
 	id      string
 	spec    Spec
-	engine  *sweep.Engine
 	journal *store.Journal
 	cancel  context.CancelFunc
 
@@ -229,7 +233,11 @@ type Campaign struct {
 	// campaign delegates.
 	deadline time.Time
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// engine runs the campaign's experiments until finish drops it;
+	// engineStats then holds its final counters.
+	engine       *sweep.Engine
+	engineStats  sweep.Stats
 	state        State
 	err          string
 	created      time.Time
@@ -259,6 +267,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		brownoutBytes: uint64(opts.BrownoutMB) << 20,
 		campaigns:     make(map[string]*Campaign),
 		idem:          make(map[string]string),
+		drainStart:    make(chan struct{}),
 		stop:          make(chan struct{}),
 	}
 	c.bg, c.bgCancel = context.WithCancel(context.Background())
@@ -403,6 +412,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	if !c.draining.CompareAndSwap(false, true) {
 		return nil
 	}
+	close(c.drainStart)
 	_, leased := c.queue.Depth()
 	c.logf("campaign: draining: refusing new leases and submissions, waiting for %d in-flight lease(s)", leased)
 	var waitErr error
@@ -477,7 +487,7 @@ func heapInUse() uint64 {
 // Shutdown is not an outcome: no terminal records are journaled, so a
 // successor coordinator re-submits whatever was running.
 func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.halt()
 	c.bgCancel()
 	c.mu.Lock()
 	campaigns := make([]*Campaign, 0, len(c.campaigns))
@@ -491,20 +501,25 @@ func (c *Coordinator) Close() {
 	c.ctl.Close()
 }
 
+// halt stops the background loops and answers every held lease request
+// at once. Close calls it, and Serve registers it as the HTTP server's
+// shutdown hook so Shutdown never waits out a hold.
+func (c *Coordinator) halt() { c.stopOnce.Do(func() { close(c.stop) }) }
+
 // Queue exposes the work queue (used by the API layer and tests).
 func (c *Coordinator) Queue() *Queue { return c.queue }
+
+// expiryPeriod is how often the expiry collector runs: half the lease
+// TTL, clamped to [10ms, 1s]. Held lease requests re-check the queue at
+// the same period, so time-based grants (hedges) reach idle workers.
+func (c *Coordinator) expiryPeriod() time.Duration {
+	return min(max(c.queue.TTL()/2, 10*time.Millisecond), time.Second)
+}
 
 // expiryLoop periodically requeues cells whose worker lease lapsed — the
 // mechanism that makes a SIGKILL'd worker just a delay, not a loss.
 func (c *Coordinator) expiryLoop() {
-	period := c.queue.TTL() / 2
-	if period > time.Second {
-		period = time.Second
-	}
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(c.expiryPeriod())
 	defer tick.Stop()
 	// Expiry also happens inline when a worker's Lease call scans the
 	// queue, so log from the stats counter rather than this loop's own
@@ -648,6 +663,9 @@ func (c *Coordinator) launch(spec Spec, forcedID, key string, journal bool, crea
 	ctx, cancel := context.WithCancel(context.Background())
 	engine := sweep.New(spec.Parallelism)
 	engine.SetStore(c.store)
+	// The delegate persists every admitted result itself (see persist),
+	// so the engine must not write it a second time.
+	engine.SetSimulatorPersists(true)
 
 	if created.IsZero() {
 		created = time.Now().UTC()
@@ -791,9 +809,10 @@ func (c *Coordinator) journalTerminal(camp *Campaign) {
 }
 
 // delegate is the campaign engine's cell executor: enqueue the cell on
-// the lease queue and wait for a worker's published result. The engine's
-// cache, coalescing, and store rehydration run before this, so only
-// genuinely new cells reach the queue.
+// the lease queue, wait for a worker's published result, and persist it
+// before handing it to the engine, so the engine's journal records only
+// durable cells. The engine's cache, coalescing, and store rehydration
+// run before this, so only genuinely new cells reach the queue.
 func (c *Coordinator) delegate(ctx context.Context, camp *Campaign) func(sweep.Cell) (*machine.Result, error) {
 	return func(cell sweep.Cell) (*machine.Result, error) {
 		ch := make(chan Outcome, 1)
@@ -808,9 +827,17 @@ func (c *Coordinator) delegate(ctx context.Context, camp *Campaign) func(sweep.C
 		select {
 		case out := <-ch:
 			camp.cellReturned(out.Err)
+			c.persist(digest, cell.Label, out.ResDigest, out.Res)
 			return out.Res, out.Err
 		case <-ctx.Done():
 			c.queue.Abandon(digest, wid)
+			// A result delivered just before the abandon was left to this
+			// waiter to persist.
+			select {
+			case out := <-ch:
+				c.persist(digest, cell.Label, out.ResDigest, out.Res)
+			default:
+			}
 			return nil, ctx.Err()
 		}
 	}
@@ -891,7 +918,8 @@ func ResultDigest(res *machine.Result) (string, error) {
 
 // Complete judges a worker's publish. The queue applies fencing,
 // attestation, and (for verified cells) quorum voting; only an admitted
-// result is persisted into the shared store. A tied quorum escalates to
+// result is persisted into the shared store — by the campaigns it was
+// delivered to, or here when none waits on it. A tied quorum escalates to
 // local arbitration — the coordinator re-executes the cell itself as
 // ground truth — and divergence evidence against an already-admitted
 // value triggers quorum re-verification of the cell.
@@ -913,7 +941,9 @@ func (c *Coordinator) Complete(leaseID, fence, digest, label, resultDigest strin
 	})
 	switch out.Verdict {
 	case VerdictAdmitted:
-		c.persist(digest, label, out.ResDigest, out.Res)
+		if out.Waiters == 0 {
+			c.persist(digest, label, out.ResDigest, out.Res)
+		}
 	case VerdictNeedArbiter:
 		go c.arbitrate(digest, label, out.Cell)
 	case VerdictDivergent:
@@ -929,10 +959,11 @@ func (c *Coordinator) Complete(leaseID, fence, digest, label, resultDigest strin
 	return out
 }
 
-// persist writes an admitted result into the shared store. If an object
-// for the digest already exists but holds a different value — a stale
-// admission a fresh quorum has now overruled, or a poisoned write from
-// inside the store's trust boundary — it is quarantined and replaced.
+// persist writes an admitted result into the shared store (a nil result,
+// from a failed cell, is a no-op). If an object for the digest already
+// exists but holds a different value — a stale admission a fresh quorum
+// has now overruled, or a poisoned write from inside the store's trust
+// boundary — it is quarantined and replaced.
 func (c *Coordinator) persist(digest, label, resDigest string, res *machine.Result) {
 	if c.store == nil || res == nil {
 		return
@@ -974,7 +1005,9 @@ func (c *Coordinator) arbitrate(digest, label string, cell sweep.Cell) {
 		return
 	}
 	if out, ok := c.queue.ResolveArbiter(digest, resDigest, results[0]); ok {
-		c.persist(digest, label, out.ResDigest, out.Res)
+		if out.Waiters == 0 {
+			c.persist(digest, label, out.ResDigest, out.Res)
+		}
 		c.logf("campaign: arbitration admitted %s for %s", short(out.ResDigest), short(digest))
 	}
 }
@@ -1077,9 +1110,14 @@ func (camp *Campaign) experimentFailed(name string, err error) {
 	camp.mu.Unlock()
 }
 
+// finish settles the campaign's terminal state and releases its engine:
+// the tables are rendered and every result is in the store (or the
+// queue), so only the engine's counters are kept for status.
 func (camp *Campaign) finish(canceled, expired bool) {
 	camp.mu.Lock()
 	defer camp.mu.Unlock()
+	camp.engineStats = camp.engine.Stats()
+	camp.engine = nil
 	camp.finished = time.Now().UTC()
 	switch {
 	case expired:
@@ -1101,12 +1139,12 @@ func (camp *Campaign) finish(canceled, expired bool) {
 }
 
 func (camp *Campaign) status() Status {
-	var es sweep.Stats
+	camp.mu.Lock()
+	defer camp.mu.Unlock()
+	es := camp.engineStats
 	if camp.engine != nil {
 		es = camp.engine.Stats()
 	}
-	camp.mu.Lock()
-	defer camp.mu.Unlock()
 	st := Status{
 		ID:               camp.id,
 		State:            camp.state,

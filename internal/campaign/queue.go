@@ -36,10 +36,12 @@ import (
 )
 
 // Outcome is the terminal state of one queued cell, delivered to every
-// campaign waiting on it.
+// campaign waiting on it. ResDigest is the canonical digest of an
+// admitted Res.
 type Outcome struct {
-	Res *machine.Result
-	Err error
+	Res       *machine.Result
+	ResDigest string
+	Err       error
 }
 
 // taskState is the lifecycle of one queued cell.
@@ -354,6 +356,9 @@ type CompleteResult struct {
 	Cell sweep.Cell
 	// Worker is the attributed publisher ("" when unattributable).
 	Worker string
+	// Waiters counts the campaigns the admitted result was delivered to.
+	// Each persists it on receipt; with none, the publisher's caller must.
+	Waiters int
 }
 
 // Fairness weights for the three campaign priorities. Stride scheduling
@@ -440,6 +445,13 @@ type Queue struct {
 
 	workers map[string]*workerRec
 
+	// ready, when non-nil, is closed (and cleared) the next time a task
+	// becomes pending; see Ready.
+	ready chan struct{}
+
+	// epoch prefixes lease IDs so a restarted coordinator never mints
+	// the ID of a lease its predecessor granted.
+	epoch      string
 	nextLease  int
 	nextWaiter int
 	stats      QueueStats
@@ -463,6 +475,7 @@ func NewQueue(ttl time.Duration) *Queue {
 		hedgeFactor: 2,
 		hedgeMin:    8,
 		now:         time.Now,
+		epoch:       newFence()[:8],
 	}
 }
 
@@ -656,7 +669,7 @@ func (q *Queue) EnqueueOpts(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outc
 		}
 		switch t.state {
 		case taskDone:
-			ch <- Outcome{Res: t.res}
+			ch <- Outcome{Res: t.res, ResDigest: t.resDigest}
 		case taskFailed:
 			// A fresh campaign gets a fresh chance: revive the task
 			// rather than replaying a stale failure.
@@ -692,6 +705,7 @@ func (q *Queue) EnqueueOpts(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outc
 	q.tasks[digest] = t
 	q.pending = append(q.pending, digest)
 	q.stats.Enqueued++
+	q.wakeLocked()
 	return digest, waiterID
 }
 
@@ -718,8 +732,8 @@ func (q *Queue) bucketLocked(name string, weight int) *bucketState {
 }
 
 // requeueLocked returns a task to pending: stamps the wait clock, lifts
-// its bucket's pass to the current virtual time if it went idle, and
-// appends to the FIFO.
+// its bucket's pass to the current virtual time if it went idle, appends
+// to the FIFO, and wakes held lease requests.
 func (q *Queue) requeueLocked(t *task) {
 	t.state = taskPending
 	t.queuedAt = q.now()
@@ -727,6 +741,29 @@ func (q *Queue) requeueLocked(t *task) {
 		b.pass = q.vtime
 	}
 	q.pending = append(q.pending, t.digest)
+	q.wakeLocked()
+}
+
+// Ready returns a channel that is closed the next time a task becomes
+// pending: a new enqueue, or a requeue after expiry, a retried failure,
+// re-verification, or a revived failed task. A long-polling caller takes
+// it before calling Lease, so a task enqueued between a fruitless Lease
+// and the wait still wakes it.
+func (q *Queue) Ready() <-chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.ready == nil {
+		q.ready = make(chan struct{})
+	}
+	return q.ready
+}
+
+// wakeLocked closes the current Ready channel, if anyone took one.
+func (q *Queue) wakeLocked() {
+	if q.ready != nil {
+		close(q.ready)
+		q.ready = nil
+	}
 }
 
 // digestFraction maps a hex digest onto [0,1) using its leading 52 bits,
@@ -911,7 +948,7 @@ func (q *Queue) mintLeaseLocked(digest, worker string, hedge bool) *lease {
 	q.nextLease++
 	now := q.now()
 	l := &lease{
-		id:       fmt.Sprintf("l%06d", q.nextLease),
+		id:       fmt.Sprintf("l%s-%06d", q.epoch, q.nextLease),
 		fence:    newFence(),
 		digest:   digest,
 		worker:   worker,
@@ -1104,11 +1141,9 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 	t, ok := q.tasks[pub.Digest]
 	if !ok {
 		// Unknown work (e.g. a publish straddling a coordinator
-		// restart). Drop the lease if live; the successor's recovery
-		// re-enqueues the cell and it re-runs.
-		if live {
-			q.dropLeaseLocked(pub.Lease)
-		}
+		// restart): the successor's recovery re-enqueues the cell and it
+		// re-runs. A live lease always has a task, so a lease named here
+		// belongs to other work and stays untouched.
 		return CompleteResult{Verdict: VerdictUnknown, Reason: "no task for digest " + short(pub.Digest), Worker: worker}
 	}
 
@@ -1283,8 +1318,9 @@ func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) Comp
 	}
 	t.votes = nil
 	q.stats.Completed++
-	q.deliverLocked(t, Outcome{Res: res})
-	return CompleteResult{Verdict: VerdictAdmitted, Res: res, ResDigest: resDigest, Cell: t.cell}
+	waiters := len(t.waiters)
+	q.deliverLocked(t, Outcome{Res: res, ResDigest: resDigest})
+	return CompleteResult{Verdict: VerdictAdmitted, Res: res, ResDigest: resDigest, Cell: t.cell, Waiters: waiters}
 }
 
 // Fail reports a worker-side execution failure. A failure under a stale

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,13 +33,35 @@ func fakeResult(cycles uint64) *machine.Result {
 	return &machine.Result{Cycles: sim.Cycle(cycles)}
 }
 
-// fakeClock is an injectable time source.
-type fakeClock struct{ t time.Time }
+// fakeClock is an injectable time source, safe to advance while a
+// coordinator's goroutines read it.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (c *fakeClock) now() time.Time           { return c.t }
-func (c *fakeClock) advance(d time.Duration)  { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-func withClock(q *Queue, c *fakeClock) *Queue { q.now = c.now; return q }
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
+// withClock installs c as q's time source; it may be applied to the
+// queue of a running coordinator.
+func withClock(q *Queue, c *fakeClock) *Queue {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.now = c.now
+	return q
+}
 
 // mustLease leases as worker, failing the test on a quarantine error.
 func mustLease(t *testing.T, q *Queue, worker string) (Grant, bool) {
@@ -395,5 +418,29 @@ func TestWireCellCarriesSimWorkers(t *testing.T) {
 	seq.Opt.Workers = 1
 	if cell.Key() != seq.Key() {
 		t.Fatal("Workers leaked into the canonical cell key")
+	}
+}
+
+// TestUnknownPublishKeepsLiveLease: a publish straddling a coordinator
+// restart names a lease of the predecessor. Lease IDs never repeat across
+// queue instances, and the unknown-digest rejection leaves whatever lease
+// is live untouched, so the successor's own holder is never evicted.
+func TestUnknownPublishKeepsLiveLease(t *testing.T) {
+	before, after := NewQueue(time.Second), NewQueue(time.Second)
+	before.Enqueue(testCell(t, 1), 1, 0, make(chan Outcome, 1))
+	stale, _ := mustLease(t, before, "w1")
+	after.Enqueue(testCell(t, 2), 1, 0, make(chan Outcome, 1))
+	live, _ := mustLease(t, after, "w2")
+	if stale.Lease == live.Lease {
+		t.Fatalf("restarted queue minted its predecessor's lease ID %s", live.Lease)
+	}
+
+	pub := honestPublish(t, stale, fakeResult(1))
+	pub.Lease = live.Lease // worst case: the IDs collide anyway
+	if out := after.Complete(pub); out.Verdict != VerdictUnknown {
+		t.Fatalf("verdict = %s, want unknown task", out.Verdict)
+	}
+	if err := after.Renew(live.Lease); err != nil {
+		t.Fatalf("live lease evicted by another cell's publish: %v", err)
 	}
 }

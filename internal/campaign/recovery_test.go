@@ -207,7 +207,7 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 	defer wcancel()
 	for i := 0; i < 2; i++ {
 		w := NewWorker(client, WorkerOptions{
-			Store: st1, Poll: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Logf: t.Logf,
+			Store: st1, MaxBackoff: 100 * time.Millisecond, Logf: t.Logf,
 		})
 		go w.Run(wctx)
 	}

@@ -122,7 +122,7 @@ func TestCampaignWorkersEndToEnd(t *testing.T) {
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for i := 0; i < 2; i++ {
-		w := NewWorker(client, WorkerOptions{Store: st, Poll: 10 * time.Millisecond, Logf: t.Logf})
+		w := NewWorker(client, WorkerOptions{Store: st, Logf: t.Logf})
 		go w.Run(wctx)
 	}
 
@@ -183,6 +183,69 @@ func TestCampaignWorkersEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFinishedCampaignReleasesEngine: a finished campaign drops its
+// sweep engine but keeps serving the engine's counters and its tables,
+// and each delegated cell reaches the store exactly once.
+func TestFinishedCampaignReleasesEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	coord, client, st := newService(t, time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	wctx, wcancel := context.WithCancel(ctx)
+	defer wcancel()
+	// The worker has no store handle, so every Put is the coordinator's.
+	go NewWorker(client, WorkerOptions{Logf: t.Logf}).Run(wctx)
+
+	// fig10 re-requests fig9's cells: cache hits.
+	spec := Spec{Experiments: []string{"fig9", "fig10"}, Workloads: []string{"mm"}, Scale: 0.02}
+	run := func() (Status, []TableResult) {
+		t.Helper()
+		sub, err := client.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := client.Wait(ctx, sub.ID, 10*time.Millisecond, nil)
+		if err != nil || final.State != StateDone {
+			t.Fatalf("campaign: state=%s err=%v", final.State, err)
+		}
+		camp, _ := coord.campaign(sub.ID)
+		camp.mu.Lock()
+		released := camp.engine == nil
+		camp.mu.Unlock()
+		if !released {
+			t.Fatalf("campaign %s still holds its engine after finishing", sub.ID)
+		}
+		tables, err := client.Tables(ctx, sub.ID)
+		if err != nil || len(tables) != 2 {
+			t.Fatalf("tables of a finished campaign: %d, err=%v", len(tables), err)
+		}
+		return final, tables
+	}
+
+	cold, coldTables := run()
+	if cold.Cells.Delegated == 0 || cold.Cells.CacheHits == 0 {
+		t.Fatalf("cold campaign cells = %+v, want delegations and cache hits", cold.Cells)
+	}
+	if puts := st.Stats().Puts; puts != cold.Cells.Delegated {
+		t.Fatalf("store puts = %d for %d delegated cells, want one each", puts, cold.Cells.Delegated)
+	}
+
+	// The warm rerun requests the same cells: the first sight of each is
+	// now a store hit, the repeats are the same cache hits as before.
+	warm, warmTables := run()
+	if warm.Cells.Delegated != 0 || warm.Cells.StoreHits != cold.Cells.Delegated || warm.Cells.CacheHits != cold.Cells.CacheHits {
+		t.Fatalf("warm campaign cells = %+v, want %d store hits and %d cache hits (cold: %+v)",
+			warm.Cells, cold.Cells.Delegated, cold.Cells.CacheHits, cold.Cells)
+	}
+	for i := range warmTables {
+		if warmTables[i].Text != coldTables[i].Text {
+			t.Fatalf("warm campaign served different %s bytes", warmTables[i].Name)
+		}
+	}
+}
+
 // TestStalledWorkerDoublePublish is the satellite scenario end to end: a
 // worker leases a cell, stalls past the lease TTL, the cell re-leases
 // and completes elsewhere, and then the stalled worker publishes anyway.
@@ -225,7 +288,7 @@ func TestStalledWorkerDoublePublish(t *testing.T) {
 	// cell.
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	w := NewWorker(client, WorkerOptions{Store: st, Poll: 10 * time.Millisecond, Logf: t.Logf})
+	w := NewWorker(client, WorkerOptions{Store: st, Logf: t.Logf})
 	go w.Run(wctx)
 
 	final, err := client.Wait(ctx, sub.ID, 20*time.Millisecond, nil)

@@ -24,13 +24,10 @@ type WorkerOptions struct {
 	// repeated cells from disk without re-simulating; without it,
 	// results still reach the coordinator through the publish call.
 	Store *store.Store
-	// Poll is the idle wait between lease attempts when the queue is
-	// empty (default 500ms).
-	Poll time.Duration
 	// MaxBackoff caps the jittered exponential backoff the worker
 	// applies when lease attempts error — a coordinator restart or
-	// network partition (default 5s, never below Poll). The backoff
-	// resets on the first successful exchange.
+	// network partition (default 5s, never below the first backoff
+	// step). The backoff resets on the first successful exchange.
 	MaxBackoff time.Duration
 	// Byzantine, when enabled, makes the worker misbehave per the seeded
 	// spec (corrupt results, lying attestations, zombie publishes) —
@@ -48,7 +45,6 @@ type WorkerOptions struct {
 type Worker struct {
 	client     *Client
 	name       string
-	poll       time.Duration
 	maxBackoff time.Duration
 	logf       func(string, ...any)
 	engine     *sweep.Engine
@@ -88,17 +84,11 @@ func NewWorker(client *Client, opts WorkerOptions) *Worker {
 		}
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	poll := opts.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
 	maxBackoff := opts.MaxBackoff
 	if maxBackoff <= 0 {
 		maxBackoff = 5 * time.Second
 	}
-	if maxBackoff < poll {
-		maxBackoff = poll
-	}
+	maxBackoff = max(maxBackoff, leaseBackoff)
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -106,7 +96,7 @@ func NewWorker(client *Client, opts WorkerOptions) *Worker {
 	engine := sweep.New(1)
 	engine.SetStore(opts.Store)
 	return &Worker{
-		client: client, name: name, poll: poll, maxBackoff: maxBackoff,
+		client: client, name: name, maxBackoff: maxBackoff,
 		logf: logf, engine: engine, byz: newByzantine(opts.Byzantine),
 	}
 }
@@ -130,7 +120,12 @@ func (w *Worker) Stats() WorkerStats {
 	return w.stats
 }
 
-// Run leases and executes cells until ctx is cancelled. Transient
+// leaseBackoff is the first step of the worker's lease-error backoff.
+const leaseBackoff = 100 * time.Millisecond
+
+// Run leases and executes cells until ctx is cancelled. Each lease
+// request is a long poll, so an idle worker re-leases at once and the
+// coordinator answers it the moment a cell is enqueued. Transient
 // coordinator errors (it restarted, the network is partitioned) back
 // off with jittered exponential delays up to MaxBackoff, resetting on
 // the first successful exchange — the worker rides out a full
@@ -140,8 +135,8 @@ func (w *Worker) Stats() WorkerStats {
 // process's answers, so retrying under the same name is pointless and a
 // 403 must never be mistaken for a healthy exchange.
 func (w *Worker) Run(ctx context.Context) error {
-	w.logf("worker %s: polling for work", w.name)
-	backoff := w.poll
+	w.logf("worker %s: waiting for work", w.name)
+	backoff := leaseBackoff
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -165,16 +160,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			backoff = min(backoff*2, w.maxBackoff)
 			continue
 		}
-		// Any answer from the coordinator — a grant or an empty queue —
+		// Any answer from the coordinator — a grant or an empty hold —
 		// resets the backoff.
-		backoff = w.poll
-		if !ok {
-			if !w.sleep(ctx, w.poll) {
-				return ctx.Err()
-			}
-			continue
+		backoff = leaseBackoff
+		if ok {
+			w.runCell(ctx, grant)
 		}
-		w.runCell(ctx, grant)
 	}
 }
 

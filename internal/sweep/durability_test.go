@@ -243,3 +243,34 @@ func TestKeyDigestStability(t *testing.T) {
 		t.Error("canonically equal options digest differently")
 	}
 }
+
+// TestSelfPersistingSimulatorWritesOnce: a simulator that stores its own
+// results (the campaign coordinator's delegate) is not followed by a
+// second Put from the engine, and its results still count as persisted,
+// so the heap watermark can shed them.
+func TestSelfPersistingSimulatorWritesOnce(t *testing.T) {
+	st := openStore(t, t.TempDir(), "sim1")
+	e := New(1)
+	e.SetStore(st)
+	e.SetHeapWatermark(1) // any live heap exceeds this
+	e.SetSimulator(func(c Cell) (*machine.Result, error) {
+		res := &machine.Result{Cycles: 42}
+		return res, st.Put(c.Key().Digest(), c.label(), res)
+	})
+	e.SetSimulatorPersists(true)
+	cells := make([]Cell, 3)
+	for i := range cells {
+		c := tinyCell(t, false)
+		c.Cfg.Seed = int64(i + 1)
+		cells[i] = c
+	}
+	if _, err := e.Run(context.Background(), cells, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ss, es := st.Stats(), e.Stats(); ss.Puts != es.Simulated || es.Simulated != len(cells) {
+		t.Errorf("store puts = %d for %d simulated cells, want one put each", ss.Puts, es.Simulated)
+	}
+	if es := e.Stats(); es.Shed != len(cells) {
+		t.Errorf("shed %d of %d self-persisted entries", es.Shed, len(cells))
+	}
+}

@@ -156,6 +156,7 @@ type Engine struct {
 	retries       int
 	retryBackoff  time.Duration
 	heapWatermark uint64
+	simPersists   bool
 
 	// simulate executes one cell; tests substitute it to inject
 	// failures, panics, and timing probes.
@@ -292,6 +293,17 @@ func (e *Engine) SetSimulator(sim func(Cell) (*machine.Result, error)) {
 		sim = Simulate
 	}
 	e.simulate = sim
+}
+
+// SetSimulatorPersists declares that the installed simulator writes each
+// successful result to the engine's store itself before returning it.
+// The engine then records the result as persisted — sheddable under the
+// heap watermark — without writing it again. The campaign coordinator's
+// delegate persists the results workers publish this way.
+func (e *Engine) SetSimulatorPersists(on bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.simPersists = on
 }
 
 // Run executes one sweep and returns the results in cell order. Identical
@@ -437,6 +449,7 @@ func (e *Engine) cell(ctx context.Context, c Cell) (*machine.Result, bool, error
 	ent := &entry{done: make(chan struct{})}
 	e.cache[k] = ent
 	st, j := e.store, e.journal
+	simPersists := e.simPersists
 	timeout := e.timeout
 	attempts, backoff := e.retries+1, e.retryBackoff
 	e.mu.Unlock()
@@ -500,7 +513,7 @@ func (e *Engine) cell(ctx context.Context, c Cell) (*machine.Result, bool, error
 	// refers to an entry that is durable on disk.
 	persisted := false
 	if err == nil && res != nil && st != nil {
-		persisted = st.Put(dig, c.label(), res) == nil
+		persisted = simPersists || st.Put(dig, c.label(), res) == nil
 	}
 	if err == nil {
 		j.Append(store.Record{T: store.RecDone, Cell: dig, Label: c.label(), Millis: dur.Milliseconds()})

@@ -304,7 +304,7 @@ type ServeOptions struct {
 // Serve runs a campaign coordinator on addr until ctx is cancelled: the
 // versioned HTTP+JSON API accepts campaign submissions (POST
 // /v1/campaigns), serves status and finished tables, and hands sweep
-// cells to polling workers under time-bounded leases. Workers are
+// cells to workers under time-bounded leases. Workers are
 // separate processes (secbench -worker -coordinator=URL) sharing the
 // store directory, or remote ones publishing over the API.
 func Serve(ctx context.Context, addr string, opts ServeOptions) error {
