@@ -82,7 +82,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -129,7 +128,6 @@ func main() {
 	gpus := flag.Int("gpus", 4, "number of GPUs")
 	seed := flag.Int64("seed", 1, "workload seed")
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	simWorkers := flag.Int("sim-workers", envInt("SECBENCH_SIM_WORKERS", 0), "simulation kernel worker partitions per cell: 1 = sequential event loop, >1 = partitioned parallel kernel, 0 = auto from topology size and free CPUs (default $SECBENCH_SIM_WORKERS); results are bit-identical for every value")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	list := flag.Bool("list", false, "list experiments and exit")
 	quiet := flag.Bool("quiet", false, "disable the live progress line")
@@ -144,7 +142,7 @@ func main() {
 	heapMB := flag.Uint64("heap-watermark-mb", 0, "soft heap watermark in MiB: above it, results already persisted to the store are shed from memory (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile at exit to this file (parallel-kernel window imbalance shows up here)")
+	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile at exit to this file (go tool pprof)")
 	mutexProfile := flag.String("mutexprofile", "", "write a contended-mutex profile at exit to this file")
 	serveAddr := flag.String("serve", "", "run a campaign coordinator on this address (e.g. :8123) instead of a local sweep; uses -store and -lease-ttl")
 	workerMode := flag.Bool("worker", false, "run as a campaign worker: lease cells from -coordinator, execute, publish results (shares -store)")
@@ -205,7 +203,7 @@ func main() {
 		runWorker(ctx, *coordinator, *storeDir, *workerName, *authToken, *faults, *byzantine, *quiet)
 		return
 	case *submitMode:
-		spec := campaignSpec(*exp, *workloads, *gpus, *scale, *seed, *par, *simWorkers, *retries, *cellTimeout, *priority, *deadline)
+		spec := campaignSpec(*exp, *workloads, *gpus, *scale, *seed, *par, *retries, *cellTimeout, *priority, *deadline)
 		runSubmit(ctx, *coordinator, spec, *outDir, *csv, *poll, *authToken, *faults, *quiet)
 		return
 	}
@@ -219,7 +217,7 @@ func main() {
 		engine.Observe(rep.observe)
 	}
 
-	p := experiments.Params{GPUs: *gpus, Scale: *scale, Seed: *seed, Parallelism: *par, SimWorkers: *simWorkers, Engine: engine}
+	p := experiments.Params{GPUs: *gpus, Scale: *scale, Seed: *seed, Parallelism: *par, Engine: engine}
 	if *workloads != "" {
 		p.Workloads = strings.Split(*workloads, ",")
 	}
@@ -327,14 +325,13 @@ func openDurability(storeDir, resume, runID string, names []string, p experiment
 		fatal(err)
 	}
 	info := store.RunInfo{
-		ID:         runID,
-		SimDigest:  simDigest,
-		Exps:       names,
-		GPUs:       p.GPUs,
-		Scale:      p.Scale,
-		Seed:       p.Seed,
-		Workloads:  p.Workloads,
-		SimWorkers: p.SimWorkers,
+		ID:        runID,
+		SimDigest: simDigest,
+		Exps:      names,
+		GPUs:      p.GPUs,
+		Scale:     p.Scale,
+		Seed:      p.Seed,
+		Workloads: p.Workloads,
 	}
 
 	if resume != "" {
@@ -395,13 +392,12 @@ func writeRendered(outDir, name string, csv bool, rendered string) error {
 
 // campaignSpec maps the sweep flags onto the shared campaign options
 // struct — the same surface the library and the coordinator use.
-func campaignSpec(exp, workloads string, gpus int, scale float64, seed int64, par, simWorkers, retries int, cellTimeout time.Duration, priority string, deadline time.Duration) campaign.Spec {
+func campaignSpec(exp, workloads string, gpus int, scale float64, seed int64, par, retries int, cellTimeout time.Duration, priority string, deadline time.Duration) campaign.Spec {
 	spec := campaign.Spec{
 		GPUs:        gpus,
 		Scale:       scale,
 		Seed:        seed,
 		Parallelism: par,
-		SimWorkers:  simWorkers,
 		Retries:     retries,
 		CellTimeout: cellTimeout,
 		Priority:    campaign.Priority(priority),
@@ -692,21 +688,6 @@ func runSubmit(ctx context.Context, coordinator string, spec campaign.Spec, outD
 		stopProfiles()
 		os.Exit(1)
 	}
-}
-
-// envInt reads an integer environment default for a flag; unset or
-// malformed values fall back to def.
-func envInt(name string, def int) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "secbench: ignoring %s=%q: %v\n", name, v, err)
-		return def
-	}
-	return n
 }
 
 func fatal(err error) {

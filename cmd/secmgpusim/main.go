@@ -50,7 +50,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault profile's per-link generators")
 	storeDir := flag.String("store", "", "durable result store directory: identical runs are served from disk instead of re-simulating")
 	list := flag.Bool("list", false, "list workloads and exit")
-	simWorkers := flag.Int("sim-workers", 0, "simulation kernel workers: 1 sequential, >1 partitioned parallel, 0 auto (results are bit-identical)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	blockProfile := flag.String("blockprofile", "", "write a blocking profile at exit to this file (go tool pprof)")
@@ -106,7 +105,7 @@ func main() {
 		die(2, fmt.Sprintf("unknown scheme %q", *schemeName))
 	}
 
-	opt := secmgpu.RunOptions{Functional: *functional, Workers: *simWorkers}
+	opt := secmgpu.RunOptions{Functional: *functional}
 
 	// With -store, runs route through a store-backed sweep engine, so a
 	// (config, workload) pair already simulated by any run sharing the

@@ -385,39 +385,26 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 	}
 }
 
-// TestWireCellCarriesSimWorkers checks the campaign's kernel choice
-// survives the lease wire: RunOptions.Workers is identity-neutral and
-// excluded from RunOptions' JSON form, so wireCell must carry it
-// explicitly for workers to size themselves as the campaign asked.
-func TestWireCellCarriesSimWorkers(t *testing.T) {
+// TestWireCellIgnoresRetiredKernelChoice: a grant from an older
+// coordinator still carries the retired per-cell kernel choice
+// ("sim_workers"). It must decode to the same cell, keyed as before.
+func TestWireCellIgnoresRetiredKernelChoice(t *testing.T) {
 	cell := testCell(t, 1)
-	cell.Opt.Workers = 4
-	wc := wireCell{
-		Abbr: cell.Spec.Abbr, Label: cell.Label,
-		Cfg: cell.Cfg, Opt: cell.Opt,
-		SimWorkers: cell.Opt.Workers,
-	}
-	b, err := json.Marshal(wc)
+	b, err := json.Marshal(wireCell{Abbr: cell.Spec.Abbr, Label: cell.Label, Cfg: cell.Cfg, Opt: cell.Opt})
 	if err != nil {
 		t.Fatal(err)
 	}
+	old := append([]byte(`{"sim_workers":4,`), b[1:]...)
 	var got wireCell
-	if err := json.Unmarshal(b, &got); err != nil {
+	if err := json.Unmarshal(old, &got); err != nil {
 		t.Fatal(err)
 	}
 	back, err := got.toCell()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Opt.Workers != 4 {
-		t.Fatalf("Workers=%d after wire round trip, want 4", back.Opt.Workers)
-	}
-	// The kernel choice must stay out of the cell's identity: a cached
-	// result from any worker count serves every other.
-	seq := cell
-	seq.Opt.Workers = 1
-	if cell.Key() != seq.Key() {
-		t.Fatal("Workers leaked into the canonical cell key")
+	if back.Key() != cell.Key() || back.Label != cell.Label {
+		t.Fatalf("old-format wire cell decoded as %q (key %v), want %q (key %v)", back.Label, back.Key(), cell.Label, cell.Key())
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -35,6 +36,9 @@ func TestControlLogReplay(t *testing.T) {
 	appendRec(ctlSubmit, ctlSubmitRec{ID: "c20260101-000000-0002", Spec: spec, Created: now})
 	appendRec(ctlCancel, ctlCancelRec{ID: "c20260101-000000-0002", At: now})
 	appendRec(ctlSubmit, ctlSubmitRec{ID: "c20260101-000000-0003", Spec: spec, Created: now})
+	// A submit journaled by an older coordinator whose spec still carried
+	// the retired per-cell kernel choice: it must decode and come back.
+	appendRec(ctlSubmit, json.RawMessage(`{"id":"c20260101-000000-0004","spec":{"experiments":["table1"],"sim_workers":4},"created":"2026-01-01T00:00:00Z"}`))
 	appendRec(ctlSubmit, ctlSubmitRec{ID: "c20260101-000000-0007", Spec: spec, Created: now})
 	appendRec(ctlTerminal, ctlTerminalRec{ID: "c20260101-000000-0007", State: StateFailed, Error: "boom", At: now})
 	ctl.Close()
@@ -46,12 +50,15 @@ func TestControlLogReplay(t *testing.T) {
 	if rep.corrupt != 0 {
 		t.Fatalf("%d corrupt records in a clean journal", rep.corrupt)
 	}
-	if len(rep.order) != 4 {
-		t.Fatalf("%d campaigns on record, want 4", len(rep.order))
+	if len(rep.order) != 5 {
+		t.Fatalf("%d campaigns on record, want 5", len(rep.order))
 	}
 	resub := rep.resubmit()
-	if len(resub) != 1 || resub[0].ID != "c20260101-000000-0003" {
-		t.Fatalf("resubmit set = %+v, want only campaign 0003", resub)
+	if len(resub) != 2 || resub[0].ID != "c20260101-000000-0003" || resub[1].ID != "c20260101-000000-0004" {
+		t.Fatalf("resubmit set = %+v, want campaigns 0003 and 0004", resub)
+	}
+	if got := resub[1].Spec.Experiments; len(got) != 1 || got[0] != "table1" {
+		t.Fatalf("old-format spec replayed as %+v", resub[1].Spec)
 	}
 	if got := rep.maxSeq(); got != 7 {
 		t.Fatalf("maxSeq = %d, want 7", got)

@@ -71,13 +71,7 @@ type Params struct {
 	Workloads []string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// SimWorkers selects the simulation kernel per cell: 1 forces the
-	// sequential event loop, >1 the partitioned parallel kernel, 0 picks
-	// automatically (see machine.RunOptions.Workers). Results are
-	// bit-identical across values, so this never affects cached results
-	// or digests. Auto-picked kernels draw extra workers from a
-	// process-wide token budget shared with Parallelism's cell fan-out,
-	// so cells x workers never oversubscribes the host.
+	// Deprecated: ignored; the simulator has one kernel.
 	SimWorkers int
 	// Engine executes the runner's sweeps. nil selects a process-wide
 	// shared engine, so identical cells are deduplicated across every
@@ -133,7 +127,6 @@ func (p Params) baseConfig() config.Config {
 // runCell executes a single simulation through the sweep engine, so even
 // one-off runs (the Figure 13/14 traces) share the result cache.
 func runCell(ctx context.Context, p Params, spec workload.Spec, cfg config.Config, opt machine.RunOptions) (*machine.Result, error) {
-	opt.Workers = p.SimWorkers
 	res, err := p.engine().Run(ctx, []sweep.Cell{{Spec: spec, Cfg: cfg, Opt: opt, Label: spec.Abbr}}, 1)
 	if err != nil {
 		return nil, err
@@ -144,7 +137,6 @@ func runCell(ctx context.Context, p Params, spec workload.Spec, cfg config.Confi
 // runGrid sweeps every (workload x scheme) cell through the engine and
 // returns results indexed [workload][scheme].
 func runGrid(ctx context.Context, p Params, schemes []Scheme, opt machine.RunOptions) ([][]*machine.Result, []workload.Spec, error) {
-	opt.Workers = p.SimWorkers
 	specs, err := p.workloads()
 	if err != nil {
 		return nil, nil, err

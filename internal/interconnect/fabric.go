@@ -88,53 +88,7 @@ type Fabric struct {
 	// scheduling a delivery allocates nothing.
 	deliverH sim.Handler
 
-	// sched is the cached sequential scheduler route hands deliveries to;
-	// a cached closure keeps the hot path allocation-free.
-	sched func(at sim.Cycle, m *Message)
-
-	// view marks this Fabric value as one partition's deferred-send view
-	// (see View); par holds the canonical fabric's partition routing state
-	// in parallel mode. Both are nil on a classic sequential fabric.
-	view *viewState
-	par  *parFabric
-
 	stats Stats
-}
-
-// viewState accumulates one partition's deferred sends. In parallel mode
-// every sender holds a view: Send records the message and its ordering
-// stamp instead of touching the shared stages, and the barrier replays
-// the records on the canonical fabric in exact global order — so stage
-// FIFO timing, fault draws, outage windows, and traffic stats all evolve
-// exactly as in a sequential run.
-type viewState struct {
-	canon *Fabric
-	recs  []SendRec
-}
-
-// parFabric is the canonical fabric's parallel routing state.
-type parFabric struct {
-	partOf  []int
-	engines []*sim.Engine
-	views   []*Fabric
-	// replayKey/replaySub stamp the deliveries of the effect currently
-	// being replayed.
-	replayKey uint64
-	replaySub uint64
-	// schedReplay is the cached barrier-time scheduler.
-	schedReplay func(at sim.Cycle, m *Message)
-}
-
-// SendRec is one deferred cross-partition send: the message, the cycle it
-// was issued, and the issuing event's ordering stamp (local log index and
-// intra-handler position). Key is filled at the barrier once global ranks
-// are known.
-type SendRec struct {
-	Msg    *Message
-	Now    sim.Cycle
-	IssIdx uint64
-	K      uint64
-	Key    uint64
 }
 
 // Topology selects how GPUs reach each other.
@@ -234,7 +188,6 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 		stats:      newStats(n),
 	}
 	f.deliverH = sim.HandlerFunc(f.deliverEvent)
-	f.sched = func(at sim.Cycle, m *Message) { f.engine.Schedule(at, f.deliverH, m) }
 	if cfg.Faults.Active() {
 		f.faultRNG = make([][]*rand.Rand, n)
 		for s := 0; s < n; s++ {
@@ -318,23 +271,7 @@ func (f *Fabric) Send(msg *Message) {
 	if f.deliverers[msg.Dst] == nil {
 		panic(fmt.Sprintf("interconnect: no deliverer registered for %v", msg.Dst))
 	}
-	if f.view != nil {
-		// Partition view: defer the send. Timing, faults, outages, and
-		// stats are all resolved at the barrier, where the records replay
-		// on the canonical fabric in global order.
-		idx, k := f.engine.SendStamp()
-		f.view.recs = append(f.view.recs, SendRec{Msg: msg, Now: f.engine.Now(), IssIdx: idx, K: k})
-		return
-	}
-	f.route(f.engine.Now(), msg, f.sched)
-}
-
-// route resolves one send's timing, outage/fault fate, and accounting,
-// handing each resulting delivery (the message, plus a clone on fault
-// duplication) to sched in the exact order the sequential kernel
-// schedules them. It is the single path shared by sequential sends and
-// barrier replay, so both produce identical stage and RNG evolution.
-func (f *Fabric) route(now sim.Cycle, msg *Message, sched func(at sim.Cycle, m *Message)) {
+	now := f.engine.Now()
 	f.stats.record(msg)
 	size := msg.Size()
 	t := f.nicOut[msg.Src].pass(now, size)
@@ -384,12 +321,12 @@ func (f *Fabric) route(now sim.Cycle, msg *Message, sched func(at sim.Cycle, m *
 			f.stats.FaultDuplicated++
 			// The duplicate outlives the original's delivery, so it must
 			// own its envelope and ciphertext. It is scheduled before the
-			// original, matching the sequential sequence order.
-			sched(t+duplicateDelay, msg.Clone())
+			// original, which fixes the pair's same-cycle tie order.
+			f.engine.Schedule(t+duplicateDelay, f.deliverH, msg.Clone())
 		}
 	}
 
-	sched(t, msg)
+	f.engine.Schedule(t, f.deliverH, msg)
 }
 
 // deliverEvent hands an arrived message to its destination and, unless the
@@ -401,93 +338,6 @@ func (f *Fabric) deliverEvent(ev sim.Event) {
 	if !msg.retained {
 		msg.Release()
 	}
-}
-
-// Partition switches the fabric into partitioned (parallel-kernel) mode:
-// engines[p] runs the nodes with partOf[node] == p, and the returned view
-// fabrics — shallow copies sharing the canonical deliverer table — are
-// what those nodes' endpoints send through. View sends are deferred (see
-// viewState); the canonical fabric replays them at barriers.
-func (f *Fabric) Partition(partOf []int, engines []*sim.Engine) []*Fabric {
-	views := make([]*Fabric, len(engines))
-	for p, eng := range engines {
-		v := new(Fabric)
-		*v = *f
-		v.engine = eng
-		v.view = &viewState{canon: f}
-		v.par = nil
-		v.sched = nil
-		// The view's delivery handler binds arrivals to the partition
-		// engine's clock.
-		v.deliverH = sim.HandlerFunc(v.deliverEvent)
-		views[p] = v
-	}
-	f.par = &parFabric{partOf: partOf, engines: engines, views: views}
-	f.par.schedReplay = func(at sim.Cycle, m *Message) {
-		pr := f.par
-		if pr.replaySub > sim.MaxDeliverySub {
-			panic("interconnect: replayed send scheduled too many deliveries for the key encoding")
-		}
-		p := pr.partOf[m.Dst]
-		pr.engines[p].ScheduleStamped(at, pr.views[p].deliverH, m, pr.replayKey+pr.replaySub)
-		pr.replaySub++
-	}
-	return views
-}
-
-// Effects returns a view's deferred sends for the current window, in
-// local issue order (strictly increasing stamp).
-func (f *Fabric) Effects() []SendRec { return f.view.recs }
-
-// ResetEffects clears a view's deferred sends, keeping capacity. The
-// replayed records' messages are owned by the canonical fabric by then.
-func (f *Fabric) ResetEffects() {
-	recs := f.view.recs
-	for i := range recs {
-		recs[i] = SendRec{}
-	}
-	f.view.recs = recs[:0]
-}
-
-// Replay applies one deferred send on the canonical fabric. Callers must
-// replay records in ascending Key order across all views — that is the
-// sequential kernel's send order, and the FIFO stages, per-link fault
-// draws, and outage windows evolve exactly as they would have inline.
-// Deliveries are scheduled into the destination partition's engine with
-// the key the sequential kernel would have assigned.
-func (f *Fabric) Replay(rec *SendRec) {
-	f.par.replayKey = rec.Key
-	f.par.replaySub = 0
-	f.route(rec.Now, rec.Msg, f.par.schedReplay)
-}
-
-// Lookahead returns the conservative PDES lookahead: the minimum
-// propagation latency over all links. Stage serialization adds at least
-// one more cycle per hop, so a message issued at cycle t is never
-// deliverable before t+Lookahead+1 — events below the window horizon
-// W = minNext+Lookahead are safe to execute without seeing any of the
-// window's deferred traffic. The minimum is over every link, not just
-// partition-crossing ones, because partition views defer all sends to
-// the barrier (even same-partition ones occupy the shared FIFO stages):
-// every replayed delivery, wherever it lands, must clear the horizon of
-// the window that issued it.
-func (f *Fabric) Lookahead() sim.Cycle {
-	min := sim.MaxCycle
-	for s := 0; s < f.nodes; s++ {
-		for d := 0; d < f.nodes; d++ {
-			if s == d {
-				continue
-			}
-			lat := f.latency[s][d]
-			if f.topology == TopologySwitch && !NodeID(s).IsCPU() && !NodeID(d).IsCPU() {
-				lat += f.switchHop
-			}
-			if lat < min {
-				min = lat
-			}
-		}
-	}
-	return min
 }
 
 // Stats returns the accumulated traffic statistics.

@@ -66,20 +66,6 @@ type node struct {
 	tlbH   *tlb.Hierarchy
 	fe     *gpu.FrontEnd
 
-	// eng is the engine this node's events run on: the single shared
-	// engine sequentially, or the owning partition's engine under the
-	// parallel kernel. fab is the matching fabric handle (the canonical
-	// fabric, or the partition's deferred-send view).
-	eng *sim.Engine
-	fab *interconnect.Fabric
-
-	// burst16/burst32 are this node's slices of the burst-interval
-	// distributions (Figures 15-16). They are per-node rather than
-	// system-global so partitions never share collector state; the run
-	// result merges them, which is bit-identical because every (src, dst)
-	// pair is only ever touched by its src node.
-	burst16, burst32 *burstTracker
-
 	// Requester state (GPUs only).
 	ops        []workload.Op
 	next       int
@@ -199,14 +185,14 @@ func (n *node) onEvent(se sim.Event) {
 // GPU, modelling the driver's migration queue.
 const maxConcurrentMigrations = 4
 
-func (n *node) engine() *sim.Engine { return n.eng }
+func (n *node) engine() *sim.Engine { return n.sys.engine }
 
-// noteDataBlock feeds this node's burst-interval trackers on every
-// data-bearing block injected for (n.id -> dst).
+// noteDataBlock feeds the burst-interval trackers on every data-bearing
+// block injected for (n.id -> dst).
 func (n *node) noteDataBlock(dst interconnect.NodeID, now sim.Cycle) {
 	pair := int(n.id)*len(n.sys.nodes) + int(dst)
-	n.burst16.note(pair, now)
-	n.burst32.note(pair, now)
+	n.sys.burst16.note(pair, now)
+	n.sys.burst32.note(pair, now)
 }
 
 func (n *node) scheduleWake(at sim.Cycle) {
@@ -352,7 +338,7 @@ func (n *node) complete(cu int) {
 	n.completed++
 	if n.completed == len(n.ops) && !n.done {
 		n.done = true
-		n.sys.gpuFinished(n)
+		n.sys.gpuFinished()
 		return
 	}
 	n.tryIssue()

@@ -39,17 +39,6 @@ type RunOptions struct {
 	TraceInterval sim.Cycle
 	// EventLimit guards against runaway simulations (default 400M).
 	EventLimit uint64
-	// Workers selects the simulation kernel: 1 forces the classic
-	// sequential event loop, >1 runs the partitioned parallel kernel with
-	// that many worker partitions (clamped to the GPU count), and 0 picks
-	// automatically from the topology size, GOMAXPROCS, and the
-	// process-wide worker-token budget. Results are bit-identical for
-	// every value — the parallel kernel reconstructs the sequential
-	// (cycle, seq) order exactly — so the field is excluded from JSON and
-	// zeroed by Canonical: the sweep result cache never keys on it, and
-	// cached results are valid across worker counts. Fault, outage, and
-	// watchdog profiles force the sequential kernel.
-	Workers int `json:"-"`
 }
 
 // Canonical returns the options with unset fields replaced by their
@@ -63,10 +52,6 @@ func (o RunOptions) Canonical() RunOptions {
 	if o.EventLimit == 0 {
 		o.EventLimit = 400_000_000
 	}
-	// Workers is identity-neutral (see the field comment); canonicalize it
-	// away so option values differing only in kernel choice compare and
-	// hash identically.
-	o.Workers = 0
 	return o
 }
 
@@ -118,14 +103,9 @@ type System struct {
 	tickers   []*sim.Ticker
 	ran       bool
 
-	// Parallel-kernel state (nil/empty when workers == 1): the partition
-	// engines, each partition's fabric view, the node -> partition map,
-	// the window coordinator, and the worker-budget tokens held.
-	engines    []*sim.Engine
-	views      []*interconnect.Fabric
-	partOf     []int
-	par        *parRun
-	tokensHeld int
+	// burst16/burst32 measure the burst-interval distributions of
+	// Figures 15-16 per directed (src, dst) pair.
+	burst16, burst32 *burstTracker
 }
 
 // New builds a system for cfg and assigns traces[g] to GPU g+1. The CPU is
@@ -137,31 +117,11 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 	if len(traces) != cfg.NumGPUs {
 		return nil, fmt.Errorf("machine: %d traces for %d GPUs", len(traces), cfg.NumGPUs)
 	}
-	workers, tokens := resolveWorkers(opt.Workers, cfg)
 	opt = opt.Canonical()
 
-	var engine *sim.Engine
-	var engines []*sim.Engine
-	var partOf []int
+	engine := sim.NewEngine()
+	engine.EventLimit = opt.EventLimit
 	nNodes := cfg.NumProcessors()
-	if workers > 1 {
-		// Partitioned kernel: one engine per partition, nodes assigned
-		// round-robin. Node 0 (the CPU) shares partition 0 with GPU
-		// `workers`, so every partition owns at least one GPU and the
-		// all-done CPU tail never serializes a whole partition phase.
-		engines = sim.NewEngineGroup(workers)
-		partOf = make([]int, nNodes)
-		for i := range partOf {
-			partOf[i] = i % workers
-		}
-		engine = engines[0]
-		for _, e := range engines {
-			e.EventLimit = opt.EventLimit
-		}
-	} else {
-		engine = sim.NewEngine()
-		engine.EventLimit = opt.EventLimit
-	}
 	fabric := interconnect.NewFabric(engine, interconnect.FabricConfig{
 		NumGPUs:         cfg.NumGPUs,
 		PCIeBandwidth:   cfg.PCIeBandwidth,
@@ -187,33 +147,21 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 	})
 
 	s := &System{
-		cfg:        cfg,
-		opt:        opt,
-		engine:     engine,
-		fabric:     fabric,
-		policy:     migration.NewPolicy(cfg.MigrationThreshold),
-		remaining:  cfg.NumGPUs,
-		engines:    engines,
-		partOf:     partOf,
-		tokensHeld: tokens,
-	}
-	if workers > 1 {
-		s.views = fabric.Partition(partOf, engines)
+		cfg:       cfg,
+		opt:       opt,
+		engine:    engine,
+		fabric:    fabric,
+		policy:    migration.NewPolicy(cfg.MigrationThreshold),
+		remaining: cfg.NumGPUs,
+		burst16:   newBurstTracker(16, nNodes),
+		burst32:   newBurstTracker(32, nNodes),
 	}
 
 	for id := 0; id < nNodes; id++ {
 		n := &node{
 			sys:     s,
 			id:      interconnect.NodeID(id),
-			eng:     engine,
-			fab:     fabric,
 			pending: make(map[uint64]pendingOp),
-			burst16: newBurstTracker(16, nNodes),
-			burst32: newBurstTracker(32, nNodes),
-		}
-		if workers > 1 {
-			n.eng = engines[partOf[id]]
-			n.fab = s.views[partOf[id]]
 		}
 		n.evH = sim.HandlerFunc(n.onEvent)
 		if n.id.IsCPU() {
@@ -236,10 +184,10 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 		}
 		mgr, dyn := buildOTPManager(cfg)
 		n.dyn = dyn
-		n.ep = secure.New(n.eng, n.fab, n.id, secure.OptionsFrom(cfg, opt.Functional), mgr, n)
+		n.ep = secure.New(engine, fabric, n.id, secure.OptionsFrom(cfg, opt.Functional), mgr, n)
 		if dyn != nil {
 			d := dyn
-			tk := sim.NewTicker(n.eng, sim.Cycle(cfg.IntervalT), func(now sim.Cycle) {
+			tk := sim.NewTicker(engine, sim.Cycle(cfg.IntervalT), func(now sim.Cycle) {
 				d.AdjustInterval(now)
 			})
 			s.tickers = append(s.tickers, tk)
@@ -259,7 +207,7 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 			n.sendRecv = metrics.NewSeries("send", "recv")
 			n.dests = metrics.NewSeries(lanes...)
 			gpu := n
-			s.tickers = append(s.tickers, sim.NewTicker(n.eng, opt.TraceInterval, func(sim.Cycle) {
+			s.tickers = append(s.tickers, sim.NewTicker(engine, opt.TraceInterval, func(sim.Cycle) {
 				gpu.sendRecv.Flush()
 				gpu.dests.Flush()
 			}))
@@ -319,15 +267,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("machine: system already ran")
 	}
 	s.ran = true
-	defer func() {
-		releaseWorkerTokens(s.tokensHeld)
-		s.tokensHeld = 0
-	}()
 	if ctx.Done() != nil {
 		s.engine.Check = ctx.Err
-		for _, e := range s.engines {
-			e.Check = ctx.Err
-		}
 	}
 	for _, tk := range s.tickers {
 		tk.Start()
@@ -364,14 +305,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		wd.Start()
 	}
 
-	var end sim.Cycle
-	var err error
-	if len(s.engines) > 0 {
-		s.par = newParRun(s)
-		end, err = s.par.run()
-	} else {
-		end, err = s.engine.Run()
-	}
+	end, err := s.engine.Run()
 	if err != nil {
 		// A cancelled context surfaces as the context's own error so
 		// callers can errors.Is it against context.Canceled.
@@ -394,13 +328,11 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		Cycles:     end,
 		Traffic:    *s.fabric.Stats(),
 		Migrations: s.policy.Migrations(),
-		Burst16:    metrics.NewHistogram(40, 160, 640),
-		Burst32:    metrics.NewHistogram(40, 160, 640),
+		Burst16:    s.burst16.hist,
+		Burst32:    s.burst32.hist,
 		OTPPerNode: make([]otp.Stats, len(s.nodes)),
 	}
 	for i, n := range s.nodes {
-		res.Burst16.Merge(n.burst16.hist)
-		res.Burst32.Merge(n.burst32.hist)
 		res.Ops += uint64(n.completed)
 		if st := n.ep.OTPStats(); st != nil {
 			res.OTPPerNode[i] = *st
@@ -456,16 +388,9 @@ func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
 // and inspect per-endpoint state).
 func (s *System) Endpoint(id interconnect.NodeID) *secure.Endpoint { return s.nodes[id].ep }
 
-// gpuFinished is called by a GPU node when its trace retires. Under the
-// sequential kernel the last finisher stops the engine on the spot; under
-// the parallel kernel the finish is only recorded — which finisher is
-// globally last is decided at the next window barrier, where partition
-// logs can be compared (see parRun.noteFinish).
-func (s *System) gpuFinished(n *node) {
-	if s.par != nil {
-		s.par.noteFinish(n)
-		return
-	}
+// gpuFinished is called by a GPU node when its trace retires; the last
+// finisher stops the engine on the spot.
+func (s *System) gpuFinished() {
 	s.remaining--
 	if s.remaining == 0 {
 		for _, tk := range s.tickers {

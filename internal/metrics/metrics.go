@@ -65,8 +65,7 @@ func (h *Histogram) Observe(v uint64) {
 // Merge folds another histogram's samples into h. The bucket layouts must
 // match. Bucket sums are order-independent, so merging per-shard
 // histograms yields exactly the counts a single shared histogram would
-// have accumulated — which is what keeps the parallel kernel's per-node
-// burst trackers bit-identical to the sequential single tracker.
+// have accumulated.
 func (h *Histogram) Merge(o *Histogram) {
 	if len(h.counts) != len(o.counts) {
 		panic("metrics: merging histograms with different bucket layouts")

@@ -17,12 +17,10 @@ type Options struct {
 	CPU string
 	// Mem receives a heap profile captured at stop.
 	Mem string
-	// Block receives a blocking profile (channel waits, barrier Wait)
-	// captured at stop. Enabling it samples every blocking event, which
-	// is how parallel-kernel window imbalance shows up.
+	// Block receives a blocking profile (channel waits, lock waits)
+	// captured at stop. Enabling it samples every blocking event.
 	Block string
-	// Mutex receives a contended-mutex profile captured at stop (the
-	// parallel kernel's sharded page-table locks, the worker budget).
+	// Mutex receives a contended-mutex profile captured at stop.
 	Mutex string
 }
 

@@ -46,12 +46,6 @@ type RunInfo struct {
 	Scale     float64  `json:"scale,omitempty"`
 	Seed      int64    `json:"seed,omitempty"`
 	Workloads []string `json:"workloads,omitempty"`
-	// SimWorkers is the requested simulation kernel (0 auto, 1
-	// sequential, >1 partitioned). Results are bit-identical across
-	// kernels, but a resume that silently switched kernel configuration
-	// would make the journal lie about how its cells were produced, so a
-	// mismatch refuses like any other parameter change.
-	SimWorkers int `json:"simworkers,omitempty"`
 }
 
 // ParamsDigest hashes the campaign parameters that must match for a
@@ -114,9 +108,6 @@ func (r RunInfo) diff(other RunInfo) []string {
 	if !slices.Equal(r.Workloads, other.Workloads) {
 		add("workloads", r.Workloads, other.Workloads)
 	}
-	if r.SimWorkers != other.SimWorkers {
-		add("sim-workers", r.SimWorkers, other.SimWorkers)
-	}
 	return diffs
 }
 
@@ -142,8 +133,26 @@ func (r Record) checksum() string {
 	if err != nil {
 		return "unhashable"
 	}
+	return lineSum(b)
+}
+
+func lineSum(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
+}
+
+// verifyLine reports whether line, a record as Append wrote it, matches
+// its self-checksum c. The sum is recomputed over the written bytes
+// minus the trailing "c" member — exactly what Append hashed — rather
+// than over a re-encoding of the decoded Record, so a record carrying a
+// field this build no longer declares (such as an older binary's
+// "simworkers" run parameter) still verifies.
+func verifyLine(line []byte, c string) bool {
+	body, ok := bytes.CutSuffix(line, []byte(`,"c":"`+c+`"}`))
+	if !ok {
+		return false
+	}
+	return lineSum(append(body[:len(body):len(body)], '}')) == c
 }
 
 // Journal is a per-run append-only JSONL write-ahead log. Each append
@@ -323,7 +332,7 @@ func ReplayJournal(path string) (*Replay, error) {
 			rep.Corrupt++
 			continue
 		}
-		if rec.checksum() != rec.C {
+		if !verifyLine(line, rec.C) {
 			rep.Corrupt++
 			continue
 		}

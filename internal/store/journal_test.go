@@ -228,16 +228,61 @@ func TestRunInfoVerify(t *testing.T) {
 	if err := a.Verify(e); err == nil {
 		t.Error("run-ID change accepted")
 	}
-	// A resume that switched simulation kernel configuration must refuse:
-	// results are bit-identical, but the journal must not lie about how
-	// its cells were produced.
-	f := a
-	f.SimWorkers = 4
-	err := a.Verify(f)
-	if err == nil {
-		t.Error("sim-workers change accepted")
-	} else if !strings.Contains(err.Error(), "sim-workers") {
-		t.Errorf("sim-workers mismatch not named: %v", err)
+}
+
+// parentJournal is a run journal written by an older binary whose run
+// header still recorded the simulation-kernel worker count
+// ("simworkers"), a parameter this build no longer has.
+const parentJournal = `{"t":"run","run":{"id":"old","sim":"58eb849c586d3731c25fd4dfa928b5b62958900aee37e0158f03610b615a7b4e","exps":["fig12"],"gpus":4,"scale":0.02,"seed":1,"workloads":["mm"],"simworkers":8},"c":"61ed15b64f697fa4"}
+{"t":"start","cell":"469638b840f4d8b0fd95634591050ca9bd8358d1c082ec450dad4cc0d375410b","label":"mm under Unsecure","attempt":1,"c":"1cd718f80b531e40"}
+{"t":"done","cell":"469638b840f4d8b0fd95634591050ca9bd8358d1c082ec450dad4cc0d375410b","label":"mm under Unsecure","ms":16,"c":"714b57e96eb097bb"}
+`
+
+// TestParentJournalWithKernelChoiceResumes checks that a journal carrying
+// the retired "simworkers" field verifies record by record, resumes
+// under the same parameters, and that the checksum still covers every
+// written byte: an injected field makes the record corrupt.
+func TestParentJournalWithKernelChoiceResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	if err := os.WriteFile(path, []byte(parentJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := store.ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 0 || rep.Records != 3 || len(rep.Done) != 1 {
+		t.Fatalf("records=%d corrupt=%d done=%d, want 3/0/1", rep.Records, rep.Corrupt, len(rep.Done))
+	}
+	info := store.RunInfo{
+		ID: "old", SimDigest: "rebuilt", Exps: []string{"fig12"},
+		GPUs: 4, Scale: 0.02, Seed: 1, Workloads: []string{"mm"},
+	}
+	if err := rep.Info.Verify(info); err != nil {
+		t.Fatalf("resume of a journal with simworkers refused: %v", err)
+	}
+	j, err := store.OpenJournalAppend(path, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(store.Record{T: store.RecRestored, Cell: "aa"})
+	j.Close()
+	if rep, err = store.ReplayJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 0 || rep.Resumes != 1 || len(rep.Restored) != 1 {
+		t.Errorf("after resume: corrupt=%d resumes=%d restored=%d, want 0/1/1", rep.Corrupt, rep.Resumes, len(rep.Restored))
+	}
+
+	injected := strings.Replace(parentJournal, `"ms":16,`, `"ms":16,"x":1,`, 1)
+	if err := os.WriteFile(path, []byte(injected), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = store.ReplayJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 1 || len(rep.Done) != 0 {
+		t.Errorf("injected field: corrupt=%d done=%d, want 1/0", rep.Corrupt, len(rep.Done))
 	}
 }
 
