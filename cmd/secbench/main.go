@@ -64,8 +64,8 @@
 //
 // Workers are not trusted blindly: every publish attests the canonical
 // digest of its payload under a per-lease fencing token, -verify-fraction
-// sends a deterministic sample of cells to an independent quorum
-// (-verify-quorum) of workers and quarantines whoever diverges, and
+// makes the coordinator re-execute a deterministic sample of cells itself,
+// admit its own result and quarantine workers whose results diverge, and
 // -scrub-interval makes the coordinator periodically re-verify every
 // object at rest. `secbench -fsck -store DIR` runs that same scrub once,
 // offline, and exits non-zero if corruption was found. SECBENCH_BYZANTINE
@@ -159,8 +159,7 @@ func main() {
 	tlsCert := flag.String("tls-cert", "", "TLS certificate file for -serve (with -tls-key, the coordinator terminates TLS)")
 	tlsKey := flag.String("tls-key", "", "TLS private key file for -serve")
 	faults := flag.String("faults", os.Getenv("SECBENCH_FAULTS"), "seeded RPC fault injection for -worker and -submit traffic, e.g. \"seed=7,refuse=0.05,timeout=0.02,err=0.05,torn=0.03,dup=0.05\" (default $SECBENCH_FAULTS; chaos testing only)")
-	verifyFraction := flag.Float64("verify-fraction", 0, "fraction of cells the coordinator re-executes on an independent worker quorum to catch Byzantine results (-serve; 0 disables, 1 verifies everything)")
-	verifyQuorum := flag.Int("verify-quorum", 2, "independent executions a verified cell needs before its result is admitted (-serve; minimum 2)")
+	verifyFraction := flag.Float64("verify-fraction", 0, "fraction of cells the coordinator re-executes itself after one worker execution, admitting its own result, to catch Byzantine workers (-serve; 0 disables, 1 checks everything)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "how often the coordinator re-verifies every stored object at rest and heals corruption (-serve; 0 disables)")
 	byzantine := flag.String("byzantine", os.Getenv("SECBENCH_BYZANTINE"), "seeded worker misbehavior, e.g. \"seed=3,corrupt=0.5,lie=0.2,zombie=0.1\" (-worker; default $SECBENCH_BYZANTINE; chaos testing only)")
 	priority := flag.String("priority", "", "campaign priority for weighted-fair scheduling: low, normal, or high (-submit; default normal)")
@@ -191,7 +190,7 @@ func main() {
 		// drains gracefully (no new leases, in-flight work finishes, a
 		// clean-shutdown record lands in the journal).
 		runServe(*serveAddr, *storeDir, *leaseTTL, *drainTimeout, *maxCampaigns, *maxQueueDepth, *brownoutMB,
-			*authToken, *tlsCert, *tlsKey, *verifyFraction, *verifyQuorum, *scrubInterval, *quiet)
+			*authToken, *tlsCert, *tlsKey, *verifyFraction, *scrubInterval, *quiet)
 		return
 	}
 
@@ -444,16 +443,16 @@ func runFsck(storeDir string) {
 // next boot. SIGTERM instead triggers a graceful drain: lease granting
 // and submissions stop (503 + Retry-After), in-flight leases finish or
 // expire, a clean-shutdown record is journaled, and the process exits 0.
-func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCampaigns, maxQueueDepth, brownoutMB int, authToken, tlsCert, tlsKey string, verifyFraction float64, verifyQuorum int, scrubInterval time.Duration, quiet bool) {
+func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCampaigns, maxQueueDepth, brownoutMB int, authToken, tlsCert, tlsKey string, verifyFraction float64, scrubInterval time.Duration, quiet bool) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "secbench: "+format+"\n", args...)
 	}
 	if quiet {
 		logf = nil
 	} else {
-		logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f×%d, scrub %s, max campaigns %d, max queue %d, brownout %d MiB)",
+		logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f, scrub %s, max campaigns %d, max queue %d, brownout %d MiB)",
 			addr, storeDir, leaseTTL, authToken != "", tlsCert != "",
-			verifyFraction, verifyQuorum, scrubInterval, maxCampaigns, maxQueueDepth, brownoutMB)
+			verifyFraction, scrubInterval, maxCampaigns, maxQueueDepth, brownoutMB)
 	}
 	if (tlsCert == "") != (tlsKey == "") {
 		fatal(errors.New("-tls-cert and -tls-key must be set together"))
@@ -486,9 +485,8 @@ func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCa
 	err := campaign.Serve(ctx, addr, campaign.Options{
 		Store: st, LeaseTTL: leaseTTL, Logf: logf,
 		AuthToken: authToken, TLSCertFile: tlsCert, TLSKeyFile: tlsKey,
-		VerifyFraction: verifyFraction, VerifyQuorum: verifyQuorum,
-		ScrubInterval: scrubInterval,
-		MaxCampaigns:  maxCampaigns, MaxQueueDepth: maxQueueDepth, BrownoutMB: brownoutMB,
+		VerifyFraction: verifyFraction, ScrubInterval: scrubInterval,
+		MaxCampaigns: maxCampaigns, MaxQueueDepth: maxQueueDepth, BrownoutMB: brownoutMB,
 		Drain: drain, DrainTimeout: drainTimeout,
 	})
 	if err != nil && !errors.Is(err, context.Canceled) {

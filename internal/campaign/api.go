@@ -28,7 +28,7 @@ import (
 //	GET    /v1/campaigns/{id}/tables  finished tables          -> 200 tablesResponse
 //	POST   /v1/lease                  lease a cell             -> 200 wireGrant | 204 after wait_ms | 403 (quarantined) | 503 (draining)
 //	POST   /v1/lease/{id}/renew       heartbeat                -> 204 | 410
-//	POST   /v1/lease/{id}/complete    publish a result         -> 204 (admitted/vote/duplicate) | 409 (rejected)
+//	POST   /v1/lease/{id}/complete    publish a result         -> 204 (admitted/checking/duplicate) | 409 (rejected)
 //	POST   /v1/lease/{id}/fail        report a failed attempt  -> 204 (idempotent)
 //	GET    /v1/healthz                liveness + metrics       -> 200 Health (no auth)
 //
@@ -77,15 +77,12 @@ type wireGrant struct {
 	Fence             string   `json:"fence"`
 	Digest            string   `json:"digest"`
 	Cell              wireCell `json:"cell"`
-	Verify            bool     `json:"verify,omitempty"`
 	TTLMillis         int64    `json:"ttl_ms"`
 	CellTimeoutMillis int64    `json:"cell_timeout_ms,omitempty"`
 	// DeadlineUnixMS is the campaign deadline as Unix milliseconds (0 =
 	// none); the worker bounds its simulation context by it.
 	DeadlineUnixMS int64 `json:"deadline_unix_ms,omitempty"`
-	// Hedge marks a speculative straggler re-lease.
-	Hedge   bool `json:"hedge,omitempty"`
-	Attempt int  `json:"attempt"`
+	Attempt        int   `json:"attempt"`
 }
 
 // leaseRequest asks for work. WaitMS > 0 holds the request open up to
@@ -293,15 +290,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		req.Worker = r.RemoteAddr
 	}
 	hold := min(time.Duration(req.WaitMS)*time.Millisecond, maxLeaseHold)
-	var expired, recheck <-chan time.Time // nil (never ready) without a hold
+	var expired <-chan time.Time // nil (never ready) without a hold
 	if hold > 0 {
 		timer := time.NewTimer(hold)
 		defer timer.Stop()
-		// Hedges are time-based, not enqueue-driven: re-check as often
-		// as the expiry collector runs.
-		tick := time.NewTicker(c.expiryPeriod())
-		defer tick.Stop()
-		expired, recheck = timer.C, tick.C
+		expired = timer.C
 	}
 	for {
 		if r.Context().Err() != nil {
@@ -334,7 +327,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-ready:
-		case <-recheck:
 		case <-c.drainStart:
 		case <-expired:
 			w.WriteHeader(http.StatusNoContent)
@@ -359,11 +351,9 @@ func writeGrant(w http.ResponseWriter, g Grant) {
 			Abbr: g.Cell.Spec.Abbr, Label: g.Cell.Label,
 			Cfg: g.Cell.Cfg, Opt: g.Cell.Opt,
 		},
-		Verify:            g.Verify,
 		TTLMillis:         g.TTL.Milliseconds(),
 		CellTimeoutMillis: g.CellTimeout.Milliseconds(),
 		DeadlineUnixMS:    deadlineUnixMS(g.Deadline),
-		Hedge:             g.Hedge,
 		Attempt:           g.Attempt,
 	})
 }

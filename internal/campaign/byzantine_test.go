@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -12,7 +15,7 @@ import (
 	"secmgpu/internal/sweep"
 )
 
-// ---- queue-level units: attestation, fencing, quorum, reputation ----
+// ---- queue-level units: attestation, fencing, checks, reputation ----
 
 func TestQueueAttestationMismatchRequeues(t *testing.T) {
 	q := NewQueue(time.Minute)
@@ -81,88 +84,69 @@ func TestQueueFenceForgeryDoesNotEvictHolder(t *testing.T) {
 	}
 }
 
-func TestQueueQuorumAgreementAdmits(t *testing.T) {
-	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2) // every cell verified by 2 workers
-	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
-
-	g1, _ := mustLease(t, q, "w1")
-	if !g1.Verify {
-		t.Fatal("grant not marked for verification at fraction 1")
-	}
-	if out := q.Complete(honestPublish(t, g1, fakeResult(42))); out.Verdict != VerdictVoteRecorded {
-		t.Fatalf("first vote verdict = %s, want vote recorded", out.Verdict)
-	}
-	select {
-	case <-ch:
-		t.Fatal("outcome delivered before the quorum agreed")
-	default:
-	}
-
-	// The second, independent execution agrees: admitted.
-	g2, ok := mustLease(t, q, "w2")
-	if !ok {
-		t.Fatal("voted cell did not requeue for the second execution")
-	}
-	if out := q.Complete(honestPublish(t, g2, fakeResult(42))); out.Verdict != VerdictAdmitted {
-		t.Fatalf("agreeing second vote verdict = %s, want admitted", out.Verdict)
-	}
-	if out := <-ch; out.Err != nil || out.Res == nil {
-		t.Fatalf("quorum admission delivered (%v, %v)", out.Res, out.Err)
-	}
-	st := q.Stats()
-	if st.VerifiedCells != 1 || st.Votes != 2 || st.Completed != 1 || st.Arbitrations != 0 {
-		t.Fatalf("stats = %+v, want 1 verified cell, 2 votes, 1 completion, 0 arbitrations", st)
-	}
-}
-
+// TestQueueQuorumDivergenceEscalatesToArbiter: a verified cell's publish
+// is held as its one candidate while the coordinator checks it; the
+// coordinator's own result is admitted, a differing candidate is struck
+// and an agreeing one is credited.
 func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2)
-	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
-
-	g1, _ := mustLease(t, q, "honest")
+	q.ConfigureVerification(1)
 	honest := fakeResult(42)
-	q.Complete(honestPublish(t, g1, honest))
-
-	g2, _ := mustLease(t, q, "evil")
-	out := q.Complete(honestPublish(t, g2, fakeResult(666))) // self-consistent but wrong
-	if out.Verdict != VerdictNeedArbiter {
-		t.Fatalf("tied quorum verdict = %s, want arbiter escalation", out.Verdict)
-	}
-	if out.Cell.Label == "" {
-		t.Fatal("arbiter escalation carried no cell to re-execute")
-	}
-
-	// While arbitrating, the cell is not leasable.
-	if _, ok := mustLease(t, q, "w3"); ok {
-		t.Fatal("arbitrating cell was leased out")
-	}
-
-	// The coordinator re-executes locally and sides with the honest vote.
 	honestDigest, err := ResultDigest(honest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := q.ResolveArbiter(digest, honestDigest, honest)
-	if !ok || res.Verdict != VerdictAdmitted {
-		t.Fatalf("ResolveArbiter = (%+v, %v), want admitted", res, ok)
+
+	ch := make(chan Outcome, 1)
+	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	g, _ := mustLease(t, q, "evil")
+	out := q.Complete(honestPublish(t, g, fakeResult(666))) // self-consistent but wrong
+	if out.Verdict != VerdictNeedCheck || out.Verdict.Rejected() {
+		t.Fatalf("verified publish verdict = %s, want an accepted check", out.Verdict)
 	}
-	if out := <-ch; out.Err != nil {
-		t.Fatalf("arbitrated admission failed: %v", out.Err)
+	if out.Cell.Label == "" {
+		t.Fatal("check verdict carried no cell to re-execute")
+	}
+	select {
+	case <-ch:
+		t.Fatal("outcome delivered before the check")
+	default:
+	}
+	// While checking, the cell is not leasable.
+	if _, ok := mustLease(t, q, "w3"); ok {
+		t.Fatal("cell under check was leased out")
+	}
+	// The coordinator re-executes locally; its own result is admitted.
+	res, ok := q.ResolveCheck(digest, honestDigest, honest)
+	if !ok || res.Verdict != VerdictAdmitted {
+		t.Fatalf("ResolveCheck = (%+v, %v), want admitted", res, ok)
+	}
+	if out := <-ch; out.Err != nil || out.ResDigest != honestDigest {
+		t.Fatalf("checked admission = (%s, %v), want the coordinator's result", short(out.ResDigest), out.Err)
+	}
+	if _, ok := q.ResolveCheck(digest, honestDigest, honest); ok {
+		t.Fatal("a second resolve of a done task reported ok")
 	}
 
+	// An agreeing candidate is credited.
+	ch2 := make(chan Outcome, 1)
+	digest2, _ := q.Enqueue(testCell(t, 2), 1, 0, ch2)
+	g2, _ := mustLease(t, q, "honest")
+	q.Complete(honestPublish(t, g2, honest))
+	if _, ok := q.ResolveCheck(digest2, honestDigest, honest); !ok {
+		t.Fatal("agreeing check not resolved")
+	}
+	<-ch2
+
 	st := q.Stats()
-	if st.Arbitrations != 1 || st.DivergentVotes != 1 {
-		t.Fatalf("Arbitrations=%d DivergentVotes=%d, want 1/1", st.Arbitrations, st.DivergentVotes)
+	if st.VerifiedCells != 2 || st.Checks != 2 || st.DivergentChecks != 1 || st.Leased != 2 {
+		t.Fatalf("stats = %+v, want 2 verified cells, 2 leases, 2 checks, 1 divergent", st)
 	}
 	for _, w := range q.Workers() {
 		switch w.Name {
 		case "evil":
-			if w.Divergent != 1 {
-				t.Fatalf("evil divergence strikes = %d, want 1", w.Divergent)
+			if w.Divergent != 1 || w.Completed != 0 {
+				t.Fatalf("evil ledger = %+v, want one strike and no credit", w)
 			}
 		case "honest":
 			if w.Divergent != 0 || w.Completed != 1 {
@@ -172,34 +156,69 @@ func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	}
 }
 
-// A lone worker can never form a 2-agreeing majority with itself (latest
-// vote per worker counts once); the escalation path keeps a single-worker
-// fleet converging instead of deadlocking.
-func TestQueueSingleWorkerQuorumConverges(t *testing.T) {
+// TestQueueCheckFailureKeepsAttempt: a coordinator-side check failure
+// clears the candidate and requeues the cell without burning an attempt,
+// even on a one-attempt budget.
+func TestQueueCheckFailureKeepsAttempt(t *testing.T) {
 	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2)
+	q.ConfigureVerification(1)
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
 
-	g1, _ := mustLease(t, q, "solo")
-	q.Complete(honestPublish(t, g1, fakeResult(42)))
-	g2, ok := mustLease(t, q, "solo") // fallback: own-voted cells still grantable
-	if !ok {
-		t.Fatal("solo worker starved of its own voted cell")
+	g, _ := mustLease(t, q, "w1")
+	if out := q.Complete(honestPublish(t, g, fakeResult(42))); out.Verdict != VerdictNeedCheck {
+		t.Fatalf("verdict = %s, want need check", out.Verdict)
 	}
-	out := q.Complete(honestPublish(t, g2, fakeResult(42)))
-	if out.Verdict != VerdictNeedArbiter {
-		t.Fatalf("solo double-vote verdict = %s, want arbiter escalation", out.Verdict)
+	q.CheckFailed(digest)
+	g2, ok := mustLease(t, q, "w1")
+	if !ok || g2.Digest != digest {
+		t.Fatalf("failed check did not requeue the cell: (%+v, %v)", g2, ok)
 	}
-	honestDigest, _ := ResultDigest(fakeResult(42))
-	if res, ok := q.ResolveArbiter(digest, honestDigest, fakeResult(42)); !ok || res.Verdict != VerdictAdmitted {
-		t.Fatalf("solo arbitration = (%+v, %v), want admitted", res, ok)
+	if g2.Attempt != g.Attempt {
+		t.Fatalf("attempt after a failed check = %d, want %d", g2.Attempt, g.Attempt)
+	}
+	q.Complete(honestPublish(t, g2, fakeResult(42)))
+	d, _ := ResultDigest(fakeResult(42))
+	if _, ok := q.ResolveCheck(digest, d, fakeResult(42)); !ok {
+		t.Fatal("second check not resolved")
 	}
 	if out := <-ch; out.Err != nil {
-		t.Fatalf("solo convergence failed: %v", out.Err)
+		t.Fatalf("outcome after a failed check: %v", out.Err)
 	}
 }
 
+// TestQueueDuplicateCandidateDuringCheck: a retried RPC of the candidate's
+// publish while the check runs is a benign duplicate, not a zombie.
+func TestQueueDuplicateCandidateDuringCheck(t *testing.T) {
+	q := NewQueue(time.Minute)
+	q.ConfigureVerification(1)
+	ch := make(chan Outcome, 1)
+	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+
+	g, _ := mustLease(t, q, "w1")
+	pub := honestPublish(t, g, fakeResult(42))
+	if out := q.Complete(pub); out.Verdict != VerdictNeedCheck {
+		t.Fatalf("verdict = %s, want need check", out.Verdict)
+	}
+	if out := q.Complete(pub); out.Verdict != VerdictDuplicate {
+		t.Fatalf("retried candidate publish verdict = %s, want duplicate", out.Verdict)
+	}
+	q.ResolveCheck(digest, pub.Canonical, pub.Result)
+	<-ch
+	st := q.Stats()
+	if st.LatePublishes != 1 || st.ZombiePublishes != 0 || st.Checks != 1 {
+		t.Fatalf("stats = %+v, want 1 late publish, no zombies, 1 check", st)
+	}
+	for _, w := range q.Workers() {
+		if w.Name == "w1" && (w.Divergent != 0 || w.Zombies != 0 || w.Completed != 1) {
+			t.Fatalf("w1 ledger = %+v, want one credit and no strikes", w)
+		}
+	}
+}
+
+// TestQueueRequeueForcesReverification: divergence evidence or scrub
+// damage sends a done cell to the coordinator's check directly — no
+// worker lease — and dedup hits wait for its result.
 func TestQueueRequeueForcesReverification(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
@@ -215,22 +234,31 @@ func TestQueueRequeueForcesReverification(t *testing.T) {
 	if _, ok := q.Requeue("feedfeed"); ok {
 		t.Fatal("Requeue of an unknown digest reported ok")
 	}
+	if _, ok := q.Requeue(digest); ok {
+		t.Fatal("Requeue of a task already under check reported ok")
+	}
+	if _, ok := mustLease(t, q, "w2"); ok {
+		t.Fatal("a cell sent back for a check was leased to a worker")
+	}
+	late := make(chan Outcome, 1)
+	q.Enqueue(testCell(t, 1), 1, 0, late)
+	select {
+	case <-late:
+		t.Fatal("dedup hit served the stale result during the check")
+	default:
+	}
 
-	// The requeued cell now demands a quorum even though the lottery
-	// never selected it.
-	g1, ok := mustLease(t, q, "w1")
-	if !ok || !g1.Verify {
-		t.Fatalf("requeued cell grant = (%+v, %v), want a verify grant", g1, ok)
+	fresh := fakeResult(43)
+	d, _ := ResultDigest(fresh)
+	if out, ok := q.ResolveCheck(digest, d, fresh); !ok || out.Verdict != VerdictAdmitted || out.Waiters != 1 {
+		t.Fatalf("ResolveCheck = (%+v, %v), want admitted to 1 waiter", out, ok)
 	}
-	if out := q.Complete(honestPublish(t, g1, fakeResult(42))); out.Verdict != VerdictVoteRecorded {
-		t.Fatalf("first re-vote verdict = %s", out.Verdict)
+	if out := <-late; out.ResDigest != d {
+		t.Fatalf("dedup waiter got %s, want the check's %s", short(out.ResDigest), short(d))
 	}
-	g2, _ := mustLease(t, q, "w2")
-	if out := q.Complete(honestPublish(t, g2, fakeResult(42))); out.Verdict != VerdictAdmitted {
-		t.Fatalf("second re-vote verdict = %s, want admitted", out.Verdict)
-	}
-	if st := q.Stats(); st.Reverifies != 1 {
-		t.Fatalf("Reverifies = %d, want 1", st.Reverifies)
+	st := q.Stats()
+	if st.Reverifies != 1 || st.VerifiedCells != 1 || st.Checks != 1 || st.Leased != 1 {
+		t.Fatalf("stats = %+v, want 1 reverify, 1 verified cell, 1 check, 1 lease", st)
 	}
 }
 
@@ -392,11 +420,83 @@ func TestQuarantineSurvivesCoordinatorRestart(t *testing.T) {
 	}
 }
 
+// TestGrantHidesVerification: a verified cell's grant carries the same
+// JSON keys as an unverified one's, so a worker cannot tell which of its
+// cells the coordinator checks. Grants carrying keys this worker does
+// not know, such as an older coordinator's verify flag, still decode.
+func TestGrantHidesVerification(t *testing.T) {
+	keys := func(fraction float64) []string {
+		q := NewQueue(time.Minute)
+		q.ConfigureVerification(fraction)
+		q.Enqueue(testCell(t, 1), 1, 0, make(chan Outcome, 1))
+		g, ok := mustLease(t, q, "w1")
+		if !ok {
+			t.Fatal("no grant")
+		}
+		if got := q.Stats().VerifiedCells; got != int(fraction) {
+			t.Fatalf("fraction %v: VerifiedCells = %d", fraction, got)
+		}
+		rec := httptest.NewRecorder()
+		writeGrant(rec, g)
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if verified, plain := keys(1), keys(0); !slices.Equal(verified, plain) {
+		t.Fatalf("verified grant keys %v, unverified %v", verified, plain)
+	}
+	var wg wireGrant
+	if err := json.Unmarshal([]byte(`{"lease":"l1","digest":"d","verify":true,"future_key":1,"attempt":2}`), &wg); err != nil || wg.Attempt != 2 {
+		t.Fatalf("older grant decoded to (%+v, %v)", wg, err)
+	}
+}
+
+// TestSingleWorkerCheckedCampaignLeasesOnce: with one worker and every
+// cell verified, each verified cell is leased exactly once — the worker
+// executes it and the coordinator checks it.
+func TestSingleWorkerCheckedCampaignLeasesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	coord, client, _ := newLimitedService(t, Options{VerifyFraction: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	wctx, wcancel := context.WithCancel(ctx)
+	worker := NewWorker(client, WorkerOptions{Name: "solo", Logf: t.Logf})
+	workerDone := make(chan struct{})
+	go func() { worker.Run(wctx); close(workerDone) }()
+	defer func() { wcancel(); <-workerDone }()
+
+	sub, err := client.Submit(ctx, runningSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := client.Wait(ctx, sub.ID, 20*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("state = %s (errors: %v)", final.State, final.ExperimentErrors)
+	}
+	qs := coord.Queue().Stats()
+	if qs.VerifiedCells == 0 || qs.Leased != qs.VerifiedCells || qs.Checks != qs.VerifiedCells || qs.DivergentChecks != 0 {
+		t.Fatalf("stats = %+v, want Leased == Checks == VerifiedCells > 0 and no divergence", qs)
+	}
+}
+
 // TestByzantineCampaignEndToEnd is the tentpole scenario: an actively
 // malicious worker (every result corrupted, attestations self-consistent)
 // shares the fleet with an honest one under full verification. The
 // campaign must converge to byte-identical tables, admit zero poisoned
-// objects, and quarantine the attacker if it ever got a vote in.
+// objects, check every verified cell, and quarantine the attacker if it
+// ever got a publish accepted.
 func TestByzantineCampaignEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -407,7 +507,7 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 	}
 	coord := NewCoordinator(Options{
 		Store: st, LeaseTTL: time.Minute, Logf: t.Logf,
-		VerifyFraction: 1, VerifyQuorum: 2, DivergenceLimit: 1,
+		VerifyFraction: 1, DivergenceLimit: 1,
 	})
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() { srv.Close(); coord.Close() })
@@ -470,13 +570,13 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 	}
 
 	qs := coord.Queue().Stats()
-	if qs.VerifiedCells == 0 || qs.Votes < qs.VerifiedCells {
+	if qs.VerifiedCells == 0 || qs.Checks < qs.VerifiedCells {
 		t.Fatalf("verification did not run: %+v", qs)
 	}
 	if evil.Stats().Completed > 0 {
-		// The attacker got votes in; its divergence must have been caught
-		// and punished.
-		if qs.DivergentVotes+qs.DivergentPublishes+qs.Arbitrations == 0 {
+		// The attacker got publishes accepted for checking; its
+		// divergence must have been caught and punished.
+		if qs.DivergentChecks+qs.DivergentPublishes == 0 {
 			t.Fatalf("evil published %d corrupt results but no divergence was recorded: %+v",
 				evil.Stats().Completed, qs)
 		}
@@ -485,7 +585,7 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		if health.Quarantined == 0 {
-			t.Fatalf("evil voted but was not quarantined: workers = %+v", health.Workers)
+			t.Fatalf("evil published but was not quarantined: workers = %+v", health.Workers)
 		}
 		wcancel()
 		select {

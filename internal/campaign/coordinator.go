@@ -113,14 +113,12 @@ type Options struct {
 	Logf func(format string, args ...any)
 
 	// VerifyFraction in [0,1] selects that fraction of cells (by digest,
-	// deterministically) for quorum verification: each is executed by
-	// VerifyQuorum independent workers and only an agreeing majority is
-	// admitted. 0 disables the lottery; cells with divergence evidence
-	// are always verified.
+	// deterministically) for a coordinator check: a worker executes the
+	// cell once, the coordinator re-executes it itself, and its own
+	// result is admitted; a worker whose result differs takes a
+	// divergence strike. 0 disables the lottery; cells with divergence
+	// evidence or scrub damage are always checked.
 	VerifyFraction float64
-	// VerifyQuorum is how many independent executions a verified cell
-	// needs (default and minimum 2).
-	VerifyQuorum int
 	// DivergenceLimit quarantines a worker after this many divergent or
 	// mis-attested results (default 3; negative disables).
 	DivergenceLimit int
@@ -141,7 +139,7 @@ type Options struct {
 	// arriving above it are refused with ErrOverloaded (0 = unlimited).
 	MaxQueueDepth int
 	// BrownoutMB is a heap watermark in MiB. Above it the coordinator
-	// browns out: the verification-quorum lottery pauses for new cells
+	// browns out: the verification lottery pauses for new cells
 	// and scrub passes are skipped — load-amplifying work stops before
 	// any work is refused. Above twice the watermark, new submissions
 	// are refused with ErrOverloaded. 0 disables brownout.
@@ -189,10 +187,11 @@ type Coordinator struct {
 	scrubMu sync.Mutex
 	scrub   ScrubHealth
 
-	// bg cancels background re-executions (arbitration, re-verification)
-	// on Close.
+	// bg cancels the coordinator's checks, running or queued, on Close;
+	// checks holds one token per check in flight (GOMAXPROCS at most).
 	bg       context.Context
 	bgCancel context.CancelFunc
+	checks   chan struct{}
 
 	// stop ends the background loops and releases held lease requests;
 	// closed by Close or by the HTTP server's shutdown (see halt).
@@ -200,17 +199,17 @@ type Coordinator struct {
 	stopOnce sync.Once
 }
 
-// ScrubHealth summarizes the background scrubber's and the re-verifier's
-// work, surfaced on /v1/healthz.
+// ScrubHealth summarizes the background scrubber's and the coordinator
+// checks' healing work, surfaced on /v1/healthz.
 type ScrubHealth struct {
 	// Runs counts completed scrub passes; Scanned and Quarantined total
 	// their object traffic.
 	Runs        int `json:"runs"`
 	Scanned     int `json:"scanned"`
 	Quarantined int `json:"quarantined"`
-	// Healed counts damaged cells resubmitted to the queue for
-	// re-execution; Replaced counts store objects overwritten because a
-	// quorum admitted a different value than the one at rest.
+	// Healed counts damaged or disputed cells sent back for a
+	// coordinator check; Replaced counts store objects overwritten
+	// because a check admitted a different value than the one at rest.
 	Healed   int `json:"healed"`
 	Replaced int `json:"replaced"`
 }
@@ -269,12 +268,13 @@ func NewCoordinator(opts Options) *Coordinator {
 		idem:          make(map[string]string),
 		drainStart:    make(chan struct{}),
 		stop:          make(chan struct{}),
+		checks:        make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	c.bg, c.bgCancel = context.WithCancel(context.Background())
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
-	c.queue.ConfigureVerification(opts.VerifyFraction, opts.VerifyQuorum)
+	c.queue.ConfigureVerification(opts.VerifyFraction)
 	c.queue.ConfigureReputation(reputationLimit(opts.DivergenceLimit, 3), reputationLimit(opts.ZombieLimit, 16))
 	c.queue.OnQuarantine(func(worker, reason string) {
 		c.logf("campaign: worker %q QUARANTINED: %s", worker, reason)
@@ -483,12 +483,21 @@ func heapInUse() uint64 {
 	return ms.HeapInuse
 }
 
-// Close cancels every running campaign and stops the expiry collector.
+// Close cancels every running campaign and the coordinator's checks and
+// stops the expiry collector.
 // Shutdown is not an outcome: no terminal records are journaled, so a
 // successor coordinator re-submits whatever was running.
 func (c *Coordinator) Close() {
 	c.halt()
 	c.bgCancel()
+	// Wait out running checks: each holds a slot until it has admitted
+	// or requeued its cell, and none simulates once bg is cancelled.
+	for range cap(c.checks) {
+		c.checks <- struct{}{}
+	}
+	for range cap(c.checks) {
+		<-c.checks
+	}
 	c.mu.Lock()
 	campaigns := make([]*Campaign, 0, len(c.campaigns))
 	for _, camp := range c.campaigns {
@@ -509,17 +518,12 @@ func (c *Coordinator) halt() { c.stopOnce.Do(func() { close(c.stop) }) }
 // Queue exposes the work queue (used by the API layer and tests).
 func (c *Coordinator) Queue() *Queue { return c.queue }
 
-// expiryPeriod is how often the expiry collector runs: half the lease
-// TTL, clamped to [10ms, 1s]. Held lease requests re-check the queue at
-// the same period, so time-based grants (hedges) reach idle workers.
-func (c *Coordinator) expiryPeriod() time.Duration {
-	return min(max(c.queue.TTL()/2, 10*time.Millisecond), time.Second)
-}
-
 // expiryLoop periodically requeues cells whose worker lease lapsed — the
-// mechanism that makes a SIGKILL'd worker just a delay, not a loss.
+// mechanism that makes a SIGKILL'd worker just a delay, not a loss. It
+// runs every half lease TTL, clamped to [10ms, 1s]; each requeue wakes
+// held lease requests.
 func (c *Coordinator) expiryLoop() {
-	tick := time.NewTicker(c.expiryPeriod())
+	tick := time.NewTicker(min(max(c.queue.TTL()/2, 10*time.Millisecond), time.Second))
 	defer tick.Stop()
 	// Expiry also happens inline when a worker's Lease call scans the
 	// queue, so log from the stats counter rather than this loop's own
@@ -909,20 +913,19 @@ func (c *Coordinator) Tables(id string) ([]TableResult, bool) {
 }
 
 // ResultDigest returns the canonical content digest of a result payload —
-// the value workers attest with every publish and quorums compare. Two
+// the value workers attest with every publish and checks compare. Two
 // honest executions of the same cell produce the same digest, because a
 // cell's result is a deterministic function of its content address.
 func ResultDigest(res *machine.Result) (string, error) {
 	return store.DigestJSON(res)
 }
 
-// Complete judges a worker's publish. The queue applies fencing,
-// attestation, and (for verified cells) quorum voting; only an admitted
-// result is persisted into the shared store — by the campaigns it was
-// delivered to, or here when none waits on it. A tied quorum escalates to
-// local arbitration — the coordinator re-executes the cell itself as
-// ground truth — and divergence evidence against an already-admitted
-// value triggers quorum re-verification of the cell.
+// Complete judges a worker's publish. The queue applies fencing and
+// attestation; only an admitted result is persisted into the shared
+// store — by the campaigns it was delivered to, or here when none waits
+// on it. A verified cell's publish is checked: the coordinator
+// re-executes the cell itself as ground truth. Divergence evidence
+// against an already-admitted value sends the cell back for a check.
 func (c *Coordinator) Complete(leaseID, fence, digest, label, resultDigest string, res *machine.Result) CompleteResult {
 	canonical := ""
 	if res != nil {
@@ -944,13 +947,14 @@ func (c *Coordinator) Complete(leaseID, fence, digest, label, resultDigest strin
 		if out.Waiters == 0 {
 			c.persist(digest, label, out.ResDigest, out.Res)
 		}
-	case VerdictNeedArbiter:
-		go c.arbitrate(digest, label, out.Cell)
+	case VerdictNeedCheck:
+		go c.check(digest, out.Cell)
 	case VerdictDivergent:
-		c.logf("campaign: worker %q published a divergent result for %s (%s); re-verifying under quorum",
+		c.logf("campaign: worker %q published a divergent result for %s (%s); checking it again",
 			out.Worker, short(digest), out.Cell.Label)
-		if _, ok := c.queue.Requeue(digest); ok {
+		if cell, ok := c.queue.Requeue(digest); ok {
 			c.addScrub(func(s *ScrubHealth) { s.Healed++ })
+			go c.check(digest, cell)
 		}
 	case VerdictZombie, VerdictFenceMismatch, VerdictDigestMismatch:
 		c.logf("campaign: publish for %s rejected (%s) from worker %q: %s",
@@ -961,8 +965,8 @@ func (c *Coordinator) Complete(leaseID, fence, digest, label, resultDigest strin
 
 // persist writes an admitted result into the shared store (a nil result,
 // from a failed cell, is a no-op). If an object for the digest already
-// exists but holds a different value — a stale admission a fresh quorum
-// has now overruled, or a poisoned write from inside the store's trust
+// exists but holds a different value — a stale admission a check has
+// now overruled, or a poisoned write from inside the store's trust
 // boundary — it is quarantined and replaced.
 func (c *Coordinator) persist(digest, label, resDigest string, res *machine.Result) {
 	if c.store == nil || res == nil {
@@ -982,39 +986,43 @@ func (c *Coordinator) persist(digest, label, resDigest string, res *machine.Resu
 	}
 }
 
-// arbitrate resolves a tied verification quorum by re-executing the cell
-// locally: the coordinator trusts its own binary over any worker's word.
-// The fresh engine has no store and no cache, so the arbitration is a
-// genuinely independent execution.
-func (c *Coordinator) arbitrate(digest, label string, cell sweep.Cell) {
-	c.logf("campaign: quorum tied on %s (%s); arbitrating with a local re-execution", short(digest), cell.Label)
+// check re-executes a cell under check locally and admits the result:
+// the coordinator trusts its own binary over any worker's word. The
+// fresh engine has no store and no cache, so the check is a genuinely
+// independent execution. At most cap(c.checks) checks simulate at once;
+// Close cancels running and queued ones, which requeue their cells.
+func (c *Coordinator) check(digest string, cell sweep.Cell) {
+	select {
+	case c.checks <- struct{}{}:
+		defer func() { <-c.checks }()
+	case <-c.bg.Done():
+	}
+	if c.bg.Err() != nil {
+		c.queue.CheckFailed(digest)
+		return
+	}
 	eng := sweep.New(1)
 	eng.SetSimulator(func(cl sweep.Cell) (*machine.Result, error) {
 		return sweep.SimulateContext(c.bg, cl)
 	})
 	results, err := eng.Run(c.bg, []sweep.Cell{cell}, 1)
+	var resDigest string
+	if err == nil {
+		resDigest, err = ResultDigest(results[0])
+	}
 	if err != nil {
-		c.logf("campaign: arbitration of %s failed (%v); requeueing for a fresh quorum", short(digest), err)
-		c.queue.ArbiterFailed(digest)
+		c.logf("campaign: check of %s (%s) failed (%v); requeueing", short(digest), cell.Label, err)
+		c.queue.CheckFailed(digest)
 		return
 	}
-	resDigest, err := ResultDigest(results[0])
-	if err != nil {
-		c.logf("campaign: arbitration of %s produced a non-canonicalizable result: %v", short(digest), err)
-		c.queue.ArbiterFailed(digest)
-		return
-	}
-	if out, ok := c.queue.ResolveArbiter(digest, resDigest, results[0]); ok {
-		if out.Waiters == 0 {
-			c.persist(digest, label, out.ResDigest, out.Res)
-		}
-		c.logf("campaign: arbitration admitted %s for %s", short(out.ResDigest), short(digest))
+	if out, ok := c.queue.ResolveCheck(digest, resDigest, results[0]); ok && out.Waiters == 0 {
+		c.persist(digest, cell.Label, out.ResDigest, out.Res)
 	}
 }
 
 // scrubLoop periodically re-verifies every store object at rest:
 // corruption is quarantined, and damaged cells the queue still knows are
-// resubmitted for self-healing quorum re-execution.
+// checked again by the coordinator, which self-heals the store.
 func (c *Coordinator) scrubLoop(interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -1036,8 +1044,9 @@ func (c *Coordinator) scrubLoop(interval time.Duration) {
 			healed := 0
 			for _, bad := range rep.Bad {
 				c.logf("campaign: scrub quarantined %s: %s", short(bad.Digest), bad.Reason)
-				if _, ok := c.queue.Requeue(bad.Digest); ok {
+				if cell, ok := c.queue.Requeue(bad.Digest); ok {
 					healed++
+					go c.check(bad.Digest, cell)
 				}
 			}
 			c.addScrub(func(s *ScrubHealth) {

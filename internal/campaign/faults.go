@@ -281,7 +281,7 @@ func drainAndClose(body io.ReadCloser) {
 // messages (the FaultTransport's crash/omission model), it computes and
 // then publishes wrong answers. Each probability is evaluated once per
 // finished cell, in declared order; at most one behavior fires per cell.
-// It exists to chaos-test the attestation/quorum/fencing defenses
+// It exists to chaos-test the attestation/check/fencing defenses
 // reproducibly — the defended coordinator must admit zero poisoned
 // results with one of these in the fleet.
 type ByzantineSpec struct {
@@ -289,7 +289,7 @@ type ByzantineSpec struct {
 	Seed int64
 	// Corrupt is the probability the worker publishes a deterministically
 	// wrong result with a self-consistent attestation — the hardest case,
-	// detectable only by independent re-execution (quorum or arbiter).
+	// detectable only by the coordinator's own re-execution (a check).
 	Corrupt float64
 	// Lie is the probability the worker publishes the correct result but
 	// attests a wrong digest — caught immediately by the attestation

@@ -179,7 +179,9 @@ func TestQueueReadySignals(t *testing.T) {
 	q.Complete(honestPublish(t, g, fakeResult(1)))
 	expect("admission", false, ready)
 	q.Requeue(g.Digest)
-	expect("re-verification requeue", true, ready)
+	expect("coordinator check of a done task", false, ready)
+	q.CheckFailed(g.Digest)
+	expect("failed check", true, ready)
 
 	q = NewQueue(time.Second)
 	q.Enqueue(testCell(t, 2), 1, 0, make(chan Outcome, 1))
@@ -191,13 +193,13 @@ func TestQueueReadySignals(t *testing.T) {
 }
 
 // TestRequeueWakesHeldLease: a cell returning to pending — lease expiry,
-// a failure with retries left, a re-verification requeue — reaches a
+// a failure with retries left, a failed coordinator check — reaches a
 // worker already blocked on the empty queue.
 func TestRequeueWakesHeldLease(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		complete bool // publish the leased cell before the hold starts
-		trigger  func(q *Queue, clock *fakeClock, g Grant)
+		name    string
+		verify  bool // publish the leased cell for a check before the hold starts
+		trigger func(q *Queue, clock *fakeClock, g Grant)
 	}{
 		{"expiry", false, func(q *Queue, clock *fakeClock, g Grant) {
 			clock.advance(2 * time.Minute)
@@ -206,20 +208,23 @@ func TestRequeueWakesHeldLease(t *testing.T) {
 		{"fail", false, func(q *Queue, clock *fakeClock, g Grant) {
 			q.Fail(g.Lease, g.Digest, "transient")
 		}},
-		{"reverify", true, func(q *Queue, clock *fakeClock, g Grant) {
-			q.Requeue(g.Digest)
+		{"checkfail", true, func(q *Queue, clock *fakeClock, g Grant) {
+			q.CheckFailed(g.Digest)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, url := newHoldService(t)
 			clock := newFakeClock()
 			q := withClock(coord.Queue(), clock)
+			if tc.verify {
+				q.ConfigureVerification(1)
+			}
 			q.Enqueue(testCell(t, 1), 2, 0, make(chan Outcome, 1))
 			g, ok := mustLease(t, q, "w1")
 			if !ok {
 				t.Fatal("no grant")
 			}
-			if tc.complete {
+			if tc.verify {
 				q.Complete(honestPublish(t, g, fakeResult(1)))
 			}
 			answers := heldLease(NewClient(url, nil), "w2")
@@ -230,28 +235,26 @@ func TestRequeueWakesHeldLease(t *testing.T) {
 	}
 }
 
-// TestHeldLeaseReceivesHedge: hedges are time-based, so an idle worker
-// already blocked on the queue still receives one once the primary lease
-// outlives the straggler threshold.
-func TestHeldLeaseReceivesHedge(t *testing.T) {
-	coord, url := newHoldService(t)
-	clock := newFakeClock()
-	q := withClock(coord.Queue(), clock)
-	q.ConfigureHedging(0.5, 1, 1)
-
-	// One completed lease seeds the threshold: 100ms.
-	q.Enqueue(testCell(t, 1), 1, 0, make(chan Outcome, 1))
-	g, _ := mustLease(t, q, "w1")
-	clock.advance(100 * time.Millisecond)
-	q.Complete(honestPublish(t, g, fakeResult(1)))
-
-	q.Enqueue(testCell(t, 2), 1, 0, make(chan Outcome, 1))
-	primary, _ := mustLease(t, q, "w1")
-	answers := heldLease(NewClient(url, nil), "w2")
+// TestHeldLeaseWokenByExpiryLoop: a silent worker's lease lapses on a
+// short-TTL coordinator, and a worker already held on the empty queue
+// receives the cell through the expiry loop alone — nothing else polls
+// the queue on its behalf.
+func TestHeldLeaseWokenByExpiryLoop(t *testing.T) {
+	coord := NewCoordinator(Options{LeaseTTL: 200 * time.Millisecond, Logf: t.Logf})
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() { coord.Close(); srv.Close() })
+	q := coord.Queue()
+	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, make(chan Outcome, 1))
+	if _, ok := mustLease(t, q, "w1"); !ok { // w1 goes silent
+		t.Fatal("no grant")
+	}
+	answers := heldLease(NewClient(srv.URL, nil), "w2")
 	waitHeld(t, q)
-	clock.advance(250 * time.Millisecond)
-	if hedge := awaitGrant(t, answers, primary.Digest); !hedge.Hedge {
-		t.Fatalf("held lease got %+v, want a hedge of the straggler", hedge)
+	if g := awaitGrant(t, answers, digest); g.Attempt != 1 {
+		t.Fatalf("re-leased attempt = %d, want 1 (expiry burns no attempt)", g.Attempt)
+	}
+	if st := q.Stats(); st.Expired == 0 || st.Leased != 2 {
+		t.Fatalf("stats = %+v, want an expiry and 2 leases", st)
 	}
 }
 

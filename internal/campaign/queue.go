@@ -16,9 +16,9 @@
 // every publish, publishes are fenced to their lease (a token minted at
 // grant time, so a zombie publish from an expired lease is rejected
 // rather than silently accepted), a configurable fraction of cells is
-// executed by a quorum of independent workers whose digests must agree,
-// and workers whose answers diverge from the admitted value accumulate
-// reputation strikes until they are quarantined.
+// checked by the coordinator re-executing them itself, and workers whose
+// answers diverge from the admitted value accumulate reputation strikes
+// until they are quarantined.
 package campaign
 
 import (
@@ -52,21 +52,21 @@ const (
 	taskPending taskState = iota
 	// taskLeased: held by a worker under a live lease.
 	taskLeased
-	// taskArbitrating: a verification quorum disagreed with no majority;
-	// the coordinator is re-executing the cell itself as the arbiter.
-	// Not leasable until ResolveArbiter or ArbiterFailed.
-	taskArbitrating
+	// taskChecking: the coordinator is re-executing a verified cell
+	// itself. Not leasable until ResolveCheck or CheckFailed.
+	taskChecking
 	// taskDone: a verified result was published.
 	taskDone
 	// taskFailed: every granted attempt failed.
 	taskFailed
 )
 
-// vote is one worker's published answer for a verified cell.
-type vote struct {
+// candidate is the one worker publish a verified cell holds while the
+// coordinator checks it.
+type candidate struct {
+	lease  string
 	worker string
 	digest string // canonical result digest
-	res    *machine.Result
 }
 
 // task is one unit of work: a sweep cell identified by its content
@@ -99,20 +99,15 @@ type task struct {
 	// per-bucket queue-wait histogram at grant time.
 	queuedAt time.Time
 
-	// verify marks the task for quorum verification: it needs `needed`
-	// agreeing independent executions instead of one. Set at enqueue by
-	// the verify fraction, by Requeue, or permanently once any publish
-	// for the cell ever diverged.
+	// verify marks the task for a coordinator check: its first accepted
+	// publish becomes cand and the coordinator's own re-execution is
+	// admitted. Set at enqueue by the verify fraction, or by Requeue
+	// after divergence evidence or scrub damage, and never cleared.
 	verify bool
-	needed int
-	votes  []vote
+	cand   *candidate
 
-	// lease is the primary live lease when state == taskLeased; hedge is
-	// a speculative second lease granted when the primary looks like a
-	// straggler. Either may publish; the first admitted result wins and
-	// the other resolves as a benign duplicate.
+	// lease is the one live lease, set exactly when state == taskLeased.
 	lease *lease
-	hedge *lease
 
 	// waiters are delivery channels keyed by waiter ID; each channel has
 	// capacity 1 and receives exactly one Outcome.
@@ -132,8 +127,7 @@ type lease struct {
 	digest   string
 	worker   string
 	deadline time.Time
-	granted  time.Time // grant instant, for lease-age (hedging) and duration stats
-	hedge    bool      // true for a speculative straggler hedge
+	granted  time.Time // grant instant, for lease-duration stats
 }
 
 // tomb remembers a dead lease (completed, failed, or expired) so a
@@ -161,10 +155,6 @@ type Grant struct {
 	Digest string
 	// Cell is the work itself.
 	Cell sweep.Cell
-	// Verify marks a quorum-verification execution: the worker must
-	// compute the cell fresh (no store rehydration, no cache) so its
-	// vote is an independent re-execution.
-	Verify bool
 	// TTL is the lease duration; the worker must renew within it.
 	TTL time.Duration
 	// CellTimeout bounds the cell's simulation wall time (0 = unbounded).
@@ -173,10 +163,6 @@ type Grant struct {
 	// waiter wants the result; workers bound their simulation context by
 	// it so doomed work cancels instead of running to completion.
 	Deadline time.Time
-	// Hedge marks a speculative re-lease of a cell whose primary lease
-	// looks like a straggler. Execution is identical; the flag is
-	// informational (logs, stats).
-	Hedge bool
 	// Attempt is 1 for the first execution of this cell, higher after
 	// failures or expiries.
 	Attempt int
@@ -204,16 +190,10 @@ type QueueStats struct {
 	// on them anymore.
 	Abandoned int
 
-	// Hedged counts speculative second leases granted against straggling
-	// primaries; HedgeWins counts hedges whose publish was admitted
-	// before the primary's.
-	Hedged    int
-	HedgeWins int
-
-	// VerifiedCells counts tasks selected for quorum verification.
+	// VerifiedCells counts tasks selected for a coordinator check.
 	VerifiedCells int
-	// Votes counts verification executions recorded.
-	Votes int
+	// Checks counts coordinator re-executions started.
+	Checks int
 	// ZombiePublishes counts publishes rejected because their lease was
 	// expired, superseded, or never existed.
 	ZombiePublishes int
@@ -223,17 +203,14 @@ type QueueStats struct {
 	// DigestMismatches counts publishes whose attested result digest did
 	// not match the payload they shipped.
 	DigestMismatches int
-	// DivergentVotes counts quorum votes rejected for disagreeing with
-	// the admitted value.
-	DivergentVotes int
+	// DivergentChecks counts checked publishes whose result differed
+	// from the coordinator's re-execution.
+	DivergentChecks int
 	// DivergentPublishes counts publishes for a done task whose payload
 	// differed from the admitted result — direct evidence of a wrong
 	// answer.
 	DivergentPublishes int
-	// Arbitrations counts quorums that disagreed without a majority and
-	// escalated to coordinator re-execution.
-	Arbitrations int
-	// Reverifies counts done tasks requeued for quorum re-execution
+	// Reverifies counts done tasks sent back for a coordinator check
 	// (after divergence evidence or scrubber damage reports).
 	Reverifies int
 	// WorkersQuarantined counts workers quarantined for bad reputation.
@@ -266,16 +243,12 @@ type WorkerHealth struct {
 type Verdict int
 
 const (
-	// VerdictAdmitted: the publish (or the quorum it completed) resolved
-	// the task; CompleteResult.Res carries the admitted result.
+	// VerdictAdmitted: the publish resolved the task;
+	// CompleteResult.Res carries the admitted result.
 	VerdictAdmitted Verdict = iota
-	// VerdictVoteRecorded: a verification vote was recorded; the task
-	// requeues for more independent executions.
-	VerdictVoteRecorded
-	// VerdictNeedArbiter: the quorum disagreed with no clear majority;
-	// the coordinator must re-execute the cell itself and call
-	// ResolveArbiter.
-	VerdictNeedArbiter
+	// VerdictNeedCheck: the publish is a verified cell's candidate; the
+	// coordinator must re-execute the cell itself and call ResolveCheck.
+	VerdictNeedCheck
 	// VerdictDuplicate: benign re-publish of the already-admitted answer
 	// (retried RPC, or a slow worker agreeing with the winner).
 	VerdictDuplicate
@@ -289,8 +262,8 @@ const (
 	// not match the shipped payload.
 	VerdictDigestMismatch
 	// VerdictDivergent: rejected — publish for a done task whose payload
-	// differs from the admitted value. The coordinator re-verifies the
-	// cell under quorum in response.
+	// differs from the admitted value. The coordinator checks the cell
+	// again in response.
 	VerdictDivergent
 	// VerdictUnknown: the digest names no known task (e.g. a publish
 	// straddling a coordinator restart). Rejected; the work re-runs.
@@ -302,10 +275,8 @@ func (v Verdict) String() string {
 	switch v {
 	case VerdictAdmitted:
 		return "admitted"
-	case VerdictVoteRecorded:
-		return "vote recorded"
-	case VerdictNeedArbiter:
-		return "quorum tied, arbitrating"
+	case VerdictNeedCheck:
+		return "accepted, checking"
 	case VerdictDuplicate:
 		return "duplicate"
 	case VerdictZombie:
@@ -351,8 +322,8 @@ type CompleteResult struct {
 	// Res and ResDigest carry the admitted result on VerdictAdmitted.
 	Res       *machine.Result
 	ResDigest string
-	// Cell is set on VerdictNeedArbiter (re-execute it) and
-	// VerdictDivergent (re-verify it).
+	// Cell is set on VerdictNeedCheck (re-execute it) and
+	// VerdictDivergent (check it again).
 	Cell sweep.Cell
 	// Worker is the attributed publisher ("" when unattributable).
 	Worker string
@@ -419,23 +390,11 @@ type Queue struct {
 	buckets map[string]*bucketState
 	vtime   float64
 
-	// verifyFraction in [0,1] selects cells for quorum verification by
-	// their digest; quorum is how many votes a verified cell needs.
-	// verifyPaused suspends the lottery for new enqueues (brownout mode);
-	// cells already selected keep their quorum requirement.
+	// verifyFraction in [0,1] selects cells for a coordinator check by
+	// their digest. verifyPaused suspends the lottery for new enqueues
+	// (brownout mode); cells already selected stay selected.
 	verifyFraction float64
-	quorum         int
 	verifyPaused   bool
-
-	// Hedging: once hedgeMin completed lease durations are on record, a
-	// primary lease older than hedgeFactor × the hedgePct quantile is
-	// speculatively re-leased to a second worker. hedgeFactor < 0
-	// disables hedging.
-	hedgePct    float64
-	hedgeFactor float64
-	hedgeMin    int
-	hedgeDurs   []time.Duration // ring of completed lease durations
-	hedgePos    int
 
 	// divergenceLimit / zombieLimit quarantine a worker once its strike
 	// counters reach them (0 disables that limit).
@@ -464,66 +423,33 @@ func NewQueue(ttl time.Duration) *Queue {
 		ttl = 30 * time.Second
 	}
 	return &Queue{
-		tasks:       make(map[string]*task),
-		leases:      make(map[string]*lease),
-		tombs:       make(map[string]tomb),
-		workers:     make(map[string]*workerRec),
-		buckets:     make(map[string]*bucketState),
-		ttl:         ttl,
-		quorum:      2,
-		hedgePct:    0.95,
-		hedgeFactor: 2,
-		hedgeMin:    8,
-		now:         time.Now,
-		epoch:       newFence()[:8],
+		tasks:   make(map[string]*task),
+		leases:  make(map[string]*lease),
+		tombs:   make(map[string]tomb),
+		workers: make(map[string]*workerRec),
+		buckets: make(map[string]*bucketState),
+		ttl:     ttl,
+		now:     time.Now,
+		epoch:   newFence()[:8],
 	}
 }
 
-// ConfigureHedging tunes the straggler-hedging rule: a primary lease
-// older than factor × the pct quantile of completed lease durations is
-// speculatively re-leased once minSamples durations are on record.
-// Non-positive arguments keep their defaults (0.95, 2, 8); a negative
-// factor disables hedging entirely.
-func (q *Queue) ConfigureHedging(pct, factor float64, minSamples int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if pct > 0 && pct < 1 {
-		q.hedgePct = pct
-	}
-	if factor != 0 {
-		q.hedgeFactor = factor
-	}
-	if minSamples > 0 {
-		q.hedgeMin = minSamples
-	}
-}
-
-// SetVerificationPaused suspends (or resumes) the quorum-verification
-// lottery for newly enqueued cells — the brownout lever: under memory
-// pressure the coordinator stops amplifying work before it starts
-// refusing it. Cells already selected keep their quorum requirement.
+// SetVerificationPaused suspends (or resumes) the verification lottery
+// for newly enqueued cells — the brownout lever: under memory pressure
+// the coordinator stops amplifying work before it starts refusing it.
+// Cells already selected are still checked.
 func (q *Queue) SetVerificationPaused(paused bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.verifyPaused = paused
 }
 
-// ConfigureVerification sets the fraction of cells selected for quorum
-// verification (clamped to [0,1]) and the quorum size (minimum 2).
-func (q *Queue) ConfigureVerification(fraction float64, quorum int) {
+// ConfigureVerification sets the fraction of cells selected for a
+// coordinator check (clamped to [0,1]).
+func (q *Queue) ConfigureVerification(fraction float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	if quorum < 2 {
-		quorum = 2
-	}
-	q.verifyFraction = fraction
-	q.quorum = quorum
+	q.verifyFraction = min(max(fraction, 0), 1)
 }
 
 // ConfigureReputation sets the strike limits past which a worker is
@@ -699,7 +625,6 @@ func (q *Queue) EnqueueOpts(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outc
 	}
 	if !q.verifyPaused && q.verifyFraction > 0 && digestFraction(digest) < q.verifyFraction {
 		t.verify = true
-		t.needed = q.quorum
 		q.stats.VerifiedCells++
 	}
 	q.tasks[digest] = t
@@ -746,9 +671,9 @@ func (q *Queue) requeueLocked(t *task) {
 
 // Ready returns a channel that is closed the next time a task becomes
 // pending: a new enqueue, or a requeue after expiry, a retried failure,
-// re-verification, or a revived failed task. A long-polling caller takes
-// it before calling Lease, so a task enqueued between a fruitless Lease
-// and the wait still wakes it.
+// a failed check, a quarantine drain, or a revived failed task. A
+// long-polling caller takes it before calling Lease, so a task enqueued
+// between a fruitless Lease and the wait still wakes it.
 func (q *Queue) Ready() <-chan struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -780,10 +705,12 @@ func digestFraction(digest string) float64 {
 	return float64(v) / float64(uint64(1)<<52)
 }
 
-// Requeue sends a done task back for quorum re-execution — the response
-// to divergence evidence or a scrubber damage report. The stale result
-// stays visible to dedup hits until the fresh quorum admits a value.
-// Reports ok=false when the digest is unknown or the task is not done.
+// Requeue sends a done task back for a coordinator check — the response
+// to divergence evidence or a scrubber damage report. No worker is
+// leased: the task moves straight to checking, with no candidate, and
+// the caller re-executes the returned cell and calls ResolveCheck (or
+// CheckFailed). Dedup hits wait for the check. Reports ok=false when the
+// digest is unknown or the task is not done.
 func (q *Queue) Requeue(digest string) (cell sweep.Cell, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -795,22 +722,15 @@ func (q *Queue) Requeue(digest string) (cell sweep.Cell, ok bool) {
 		t.verify = true
 		q.stats.VerifiedCells++
 	}
-	if t.needed < q.quorum {
-		t.needed = q.quorum
-	}
-	t.votes = nil
-	t.attempts = 0
-	if t.maxAttempts < 2 {
-		t.maxAttempts = 2
-	}
-	q.requeueLocked(t)
+	t.state = taskChecking
+	q.stats.Checks++
 	q.stats.Reverifies++
 	return t.cell, true
 }
 
 // Abandon withdraws a waiter's interest in a task. A pending task nobody
-// waits on anymore is pruned (a leased one finishes and its result is
-// kept — it is already paid for and digest-keyed for reuse).
+// waits on anymore is pruned (a leased or checking one finishes and its
+// result is kept — it is already paid for and digest-keyed for reuse).
 func (q *Queue) Abandon(digest string, waiterID int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -819,7 +739,7 @@ func (q *Queue) Abandon(digest string, waiterID int) {
 		return
 	}
 	delete(t.waiters, waiterID)
-	if len(t.waiters) == 0 && t.state == taskPending && len(t.votes) == 0 {
+	if len(t.waiters) == 0 && t.state == taskPending {
 		delete(q.tasks, digest)
 		q.removePending(digest)
 		q.stats.Abandoned++
@@ -839,15 +759,7 @@ var ErrWorkerQuarantined = fmt.Errorf("campaign: worker quarantined")
 // bucket with the lowest stride pass wins (ties break by creation
 // order) and is charged strideUnit/weight, so a huge low-priority
 // campaign cannot starve a small interactive one. Within a bucket,
-// order stays FIFO. For cells under quorum verification, tasks the
-// worker has not yet voted on are preferred, so votes come from
-// independent workers when the fleet allows it; a lone worker still
-// makes progress (ties escalate to the coordinator-side arbiter instead
-// of deadlocking).
-//
-// With nothing pending, an idle worker may instead receive a hedge: a
-// speculative second lease on a cell whose primary lease has outlived
-// the straggler threshold (see ConfigureHedging).
+// order stays FIFO. Verified cells lease like any other.
 func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -858,10 +770,8 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	}
 
 	// One pass over the FIFO: prune dead entries and remember, per
-	// bucket, the first grantable index (preferring tasks the worker has
-	// not voted on; voted tasks are fallbacks).
-	type candidate struct{ pick, fallback int }
-	cands := make(map[string]*candidate)
+	// bucket, the first grantable index.
+	first := make(map[string]int)
 	kept := q.pending[:0]
 	for _, digest := range q.pending {
 		t, ok := q.tasks[digest]
@@ -869,61 +779,27 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 			continue // pruned or completed entries fall out here
 		}
 		kept = append(kept, digest)
-		c, ok := cands[t.bucket]
-		if !ok {
-			c = &candidate{pick: -1, fallback: -1}
-			cands[t.bucket] = c
+		if _, ok := first[t.bucket]; !ok {
+			first[t.bucket] = len(kept) - 1
 		}
-		if c.pick >= 0 {
-			continue
-		}
-		if t.verify && t.votedBy(worker) {
-			if c.fallback < 0 {
-				c.fallback = len(kept) - 1
-			}
-			continue
-		}
-		c.pick = len(kept) - 1
 	}
 	q.pending = kept
 
-	// Weighted-fair choice: lowest pass among buckets with a preferred
-	// candidate; buckets holding only already-voted work are a second
-	// tier so independence is preserved across bucket lines.
-	chooseBucket := func(useFallback bool) *bucketState {
-		var best *bucketState
-		for name, c := range cands {
-			idx := c.pick
-			if useFallback {
-				idx = c.fallback
-			}
-			if idx < 0 {
-				continue
-			}
-			b := q.buckets[name]
-			if b == nil { // legacy task with no registered bucket
-				b = q.bucketLocked(name, weightNormal)
-			}
-			if best == nil || b.pass < best.pass || (b.pass == best.pass && b.seq < best.seq) {
-				best = b
-			}
+	// Weighted-fair choice: the lowest pass among buckets with work.
+	var b *bucketState
+	for name := range first {
+		nb := q.buckets[name]
+		if nb == nil { // legacy task with no registered bucket
+			nb = q.bucketLocked(name, weightNormal)
 		}
-		return best
-	}
-	b := chooseBucket(false)
-	useFallback := false
-	if b == nil {
-		b = chooseBucket(true)
-		useFallback = true
+		if b == nil || nb.pass < b.pass || (nb.pass == b.pass && nb.seq < b.seq) {
+			b = nb
+		}
 	}
 	if b == nil {
-		return q.hedgeLocked(worker, rec)
+		return Grant{}, false, nil
 	}
-	c := cands[b.name]
-	idx := c.pick
-	if useFallback {
-		idx = c.fallback
-	}
+	idx := first[b.name]
 	digest := q.pending[idx]
 	q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
 	t := q.tasks[digest]
@@ -935,16 +811,6 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 		b.waitHist.Observe(uint64(wait / time.Millisecond))
 	}
 
-	l := q.mintLeaseLocked(digest, worker, false)
-	t.state = taskLeased
-	t.lease = l
-	q.stats.Leased++
-	rec.leased++
-	return q.grantLocked(t, l), true, nil
-}
-
-// mintLeaseLocked creates and registers a fresh lease on digest.
-func (q *Queue) mintLeaseLocked(digest, worker string, hedge bool) *lease {
 	q.nextLease++
 	now := q.now()
 	l := &lease{
@@ -954,86 +820,26 @@ func (q *Queue) mintLeaseLocked(digest, worker string, hedge bool) *lease {
 		worker:   worker,
 		deadline: now.Add(q.ttl),
 		granted:  now,
-		hedge:    hedge,
 	}
 	q.leases[l.id] = l
-	return l
-}
-
-// grantLocked renders a lease as the worker-facing Grant.
-func (q *Queue) grantLocked(t *task, l *lease) Grant {
+	t.state = taskLeased
+	t.lease = l
+	q.stats.Leased++
+	rec.leased++
 	return Grant{
 		Lease:       l.id,
 		Fence:       l.fence,
 		Digest:      t.digest,
 		Cell:        t.cell,
-		Verify:      t.verify,
 		TTL:         q.ttl,
 		CellTimeout: t.cellTimeout,
 		Deadline:    t.deadline,
-		Hedge:       l.hedge,
 		Attempt:     t.attempts + 1,
-	}
+	}, true, nil
 }
 
-// hedgeLocked considers granting a speculative second lease to an idle
-// worker: the leased task whose primary lease is oldest, provided that
-// age exceeds the straggler threshold, the task is not under quorum
-// verification (verified cells already run multiply), and the primary
-// belongs to a different worker.
-func (q *Queue) hedgeLocked(worker string, rec *workerRec) (Grant, bool, error) {
-	threshold := q.hedgeThresholdLocked()
-	if threshold <= 0 {
-		return Grant{}, false, nil
-	}
-	now := q.now()
-	var best *task
-	var bestAge time.Duration
-	for _, l := range q.leases {
-		t, ok := q.tasks[l.digest]
-		if !ok || t.state != taskLeased || t.lease == nil || t.lease.id != l.id {
-			continue // only primaries are hedgeable
-		}
-		if t.hedge != nil || t.verify || l.worker == worker {
-			continue
-		}
-		if age := now.Sub(l.granted); age >= threshold && (best == nil || age > bestAge) {
-			best, bestAge = t, age
-		}
-	}
-	if best == nil {
-		return Grant{}, false, nil
-	}
-	l := q.mintLeaseLocked(best.digest, worker, true)
-	best.hedge = l
-	q.stats.Leased++
-	q.stats.Hedged++
-	rec.leased++
-	return q.grantLocked(best, l), true, nil
-}
-
-// hedgeThresholdLocked computes the current straggler threshold, or 0
-// when hedging is disabled or the sample base is too thin.
-func (q *Queue) hedgeThresholdLocked() time.Duration {
-	if q.hedgeFactor < 0 || len(q.hedgeDurs) < q.hedgeMin {
-		return 0
-	}
-	durs := make([]time.Duration, len(q.hedgeDurs))
-	copy(durs, q.hedgeDurs)
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	idx := int(float64(len(durs)) * q.hedgePct)
-	if idx >= len(durs) {
-		idx = len(durs) - 1
-	}
-	threshold := time.Duration(float64(durs[idx]) * q.hedgeFactor)
-	if threshold <= 0 {
-		return 0
-	}
-	return threshold
-}
-
-// observeLeaseLocked records a completed lease's duration: into the
-// task's bucket histogram and the hedging sample ring.
+// observeLeaseLocked records a completed lease's duration into the
+// task's bucket histogram.
 func (q *Queue) observeLeaseLocked(t *task, l *lease) {
 	dur := q.now().Sub(l.granted)
 	if dur < 0 || l.granted.IsZero() {
@@ -1042,13 +848,6 @@ func (q *Queue) observeLeaseLocked(t *task, l *lease) {
 	if b := q.buckets[t.bucket]; b != nil {
 		b.leaseHist.Observe(uint64(dur / time.Millisecond))
 	}
-	const hedgeRing = 256
-	if len(q.hedgeDurs) < hedgeRing {
-		q.hedgeDurs = append(q.hedgeDurs, dur)
-		return
-	}
-	q.hedgeDurs[q.hedgePos] = dur
-	q.hedgePos = (q.hedgePos + 1) % hedgeRing
 }
 
 // Latencies returns per-campaign latency evidence: queue-wait and
@@ -1109,17 +908,17 @@ func (q *Queue) Renew(leaseID string) error {
 //  1. Attribution: the lease table or its tombstones name the worker and
 //     fence; a wholly unknown lease is an unattributable zombie.
 //  2. Done tasks: a payload matching the admitted digest is a benign
-//     duplicate; anything else is divergence evidence that re-verifies
-//     the cell and strikes the publisher.
+//     duplicate; anything else is divergence evidence that sends the
+//     cell back for a check and strikes the publisher.
 //  3. Fencing: a dead lease (expired/superseded) is a zombie publish —
-//     unless it is a retried RPC re-shipping the worker's own recorded
-//     vote. A live lease with the wrong fence or wrong digest is
-//     rejected without disturbing the real leaseholder.
+//     unless it is a retried RPC re-shipping the candidate under check.
+//     A live lease with the wrong fence or wrong digest is rejected
+//     without disturbing the real leaseholder.
 //  4. Attestation: the worker's claimed result digest must match the
 //     payload the coordinator actually received.
-//  5. Admission: unverified cells admit immediately; verified cells
-//     record a vote and requeue until the quorum agrees (majority of
-//     latest votes per worker), tying quorums escalate to the arbiter.
+//  5. Admission: unverified cells admit immediately; a verified cell
+//     holds the publish as its one candidate and answers
+//     VerdictNeedCheck, and the coordinator's own re-execution decides.
 //
 // Zombie and divergence rejections strike the attributed worker's
 // reputation; past the configured limits the worker is quarantined.
@@ -1130,10 +929,8 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 
 	var worker, fence string
 	var pubLease *lease
-	live := false
 	if l, ok := q.leases[pub.Lease]; ok {
-		worker, fence, live = l.worker, l.fence, true
-		pubLease = l
+		worker, fence, pubLease = l.worker, l.fence, l
 	} else if tb, ok := q.tombs[pub.Lease]; ok {
 		worker, fence = tb.worker, tb.fence
 	}
@@ -1148,21 +945,14 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 	}
 
 	if t.state == taskDone {
-		if live {
-			q.dropLeaseLocked(pub.Lease)
-			t.detach(pub.Lease)
-		}
+		// A done task holds no lease, so a live lease named here belongs
+		// to other work and stays untouched.
 		if pub.Canonical != "" && pub.Canonical == t.resDigest {
 			q.stats.LatePublishes++
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
 		}
 		q.stats.DivergentPublishes++
 		q.strikeDivergenceLocked(worker, "published a result diverging from the admitted value for cell "+t.cell.Label)
-		if !t.verify {
-			t.verify = true
-			t.needed = q.quorum
-			q.stats.VerifiedCells++
-		}
 		return CompleteResult{
 			Verdict: VerdictDivergent,
 			Reason:  "payload differs from admitted result",
@@ -1171,11 +961,11 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		}
 	}
 
-	if !live {
+	if pubLease == nil {
 		// Dead or unknown lease on unfinished work. A retried RPC
-		// re-shipping this worker's own recorded vote is benign;
-		// everything else is a zombie publish, fenced off.
-		if worker != "" && t.verify && pub.Canonical != "" && t.latestVote(worker) == pub.Canonical {
+		// re-shipping the candidate under check is benign; everything
+		// else is a zombie publish, fenced off.
+		if c := t.cand; c != nil && c.lease == pub.Lease && pub.Canonical != "" && c.digest == pub.Canonical {
 			q.stats.LatePublishes++
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
 		}
@@ -1184,10 +974,10 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		return CompleteResult{Verdict: VerdictZombie, Reason: "lease " + pub.Lease + " is not live", Worker: worker}
 	}
 
-	if pub.Fence != fence || t.state != taskLeased || !t.holds(pub.Lease) {
-		// Wrong token (or a stale lease record that no longer backs the
-		// task). Reject without dropping the live lease: a forger must
-		// not be able to evict the legitimate holder.
+	if pub.Fence != fence || t.lease != pubLease {
+		// Wrong token, or a lease that backs other work. Reject without
+		// dropping the live lease: a forger must not be able to evict
+		// the legitimate holder.
 		q.stats.FenceMismatches++
 		return CompleteResult{Verdict: VerdictFenceMismatch, Reason: "fencing token mismatch", Worker: worker}
 	}
@@ -1195,128 +985,71 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 	if pub.ResultDigest != "" && pub.ResultDigest != pub.Canonical {
 		// The worker's attestation disagrees with the bytes it shipped:
 		// corruption in flight or a lying worker. Requeue without
-		// burning an attempt — the cell itself is fine. A surviving
-		// sibling lease (hedge or primary) keeps the task leased.
+		// burning an attempt — the cell itself is fine.
 		q.stats.DigestMismatches++
-		q.dropLeaseLocked(pub.Lease)
-		t.detach(pub.Lease)
-		if t.lease == nil {
-			q.requeueLocked(t)
-		}
+		q.revokeLocked(pubLease)
 		q.strikeDivergenceLocked(worker, "attested digest does not match payload for cell "+t.cell.Label)
 		return CompleteResult{Verdict: VerdictDigestMismatch, Reason: "attested digest does not match payload", Worker: worker}
 	}
 
-	wasHedge := t.hedge != nil && t.hedge.id == pub.Lease
 	q.observeLeaseLocked(t, pubLease)
 	q.dropLeaseLocked(pub.Lease)
-	t.detach(pub.Lease)
+	t.lease = nil
 
 	if t.verify {
-		t.votes = append(t.votes, vote{worker: worker, digest: pub.Canonical, res: pub.Result})
-		q.stats.Votes++
-		return q.tallyLocked(t)
-	}
-
-	// Retire any sibling lease so the straggler's eventual publish is
-	// judged by the done-task rules (benign duplicate or divergence).
-	if t.lease != nil {
-		q.dropLeaseLocked(t.lease.id)
-		t.lease = nil
-	}
-	if wasHedge {
-		q.stats.HedgeWins++
+		t.state = taskChecking
+		t.cand = &candidate{lease: pub.Lease, worker: worker, digest: pub.Canonical}
+		q.stats.Checks++
+		return CompleteResult{Verdict: VerdictNeedCheck, Cell: t.cell, Worker: worker}
 	}
 	q.workerLocked(worker).completed++
 	return q.admitLocked(t, pub.Canonical, pub.Result)
 }
 
-// tallyLocked decides a verified task after a new vote: short of quorum
-// it requeues for another independent execution; with quorum it admits a
-// strict majority of the latest vote per worker (and at least two
-// agreeing executions); a tie escalates to the coordinator arbiter.
-func (q *Queue) tallyLocked(t *task) CompleteResult {
-	if len(t.votes) < t.needed {
-		q.requeueLocked(t)
-		return CompleteResult{Verdict: VerdictVoteRecorded}
-	}
-	latest := make(map[string]string, len(t.votes))
-	for _, v := range t.votes {
-		latest[v.worker] = v.digest
-	}
-	counts := make(map[string]int)
-	for _, d := range latest {
-		counts[d]++
-	}
-	majority := ""
-	for d, n := range counts {
-		if 2*n > len(latest) && n >= 2 {
-			majority = d
-			break
-		}
-	}
-	if majority == "" {
-		q.stats.Arbitrations++
-		t.state = taskArbitrating
-		return CompleteResult{Verdict: VerdictNeedArbiter, Cell: t.cell}
-	}
-	var res *machine.Result
-	for _, v := range t.votes {
-		if v.digest == majority {
-			res = v.res
-			break
-		}
-	}
-	return q.admitLocked(t, majority, res)
-}
-
-// ResolveArbiter installs the coordinator's own re-execution as the
-// admitted value for a task stuck in arbitration. Reports ok=false when
-// the task is unknown or no longer arbitrating.
-func (q *Queue) ResolveArbiter(digest, resDigest string, res *machine.Result) (CompleteResult, bool) {
+// ResolveCheck admits the coordinator's own re-execution as the value of
+// a task under check. A candidate that agrees earns its worker the
+// completion; one that differs draws a divergence strike. Reports
+// ok=false when the task is unknown or not under check.
+func (q *Queue) ResolveCheck(digest, resDigest string, res *machine.Result) (CompleteResult, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	t, ok := q.tasks[digest]
-	if !ok || t.state != taskArbitrating {
+	if !ok || t.state != taskChecking {
 		return CompleteResult{}, false
+	}
+	if c := t.cand; c != nil {
+		if c.digest == resDigest {
+			q.workerLocked(c.worker).completed++
+		} else {
+			q.stats.DivergentChecks++
+			q.strikeDivergenceLocked(c.worker, "the coordinator's check rejected its result for cell "+t.cell.Label)
+		}
 	}
 	return q.admitLocked(t, resDigest, res), true
 }
 
-// ArbiterFailed abandons an arbitration attempt (coordinator-side
-// simulation error): the vote history resets and the task requeues for a
-// fresh quorum, without burning the retry budget.
-func (q *Queue) ArbiterFailed(digest string) {
+// CheckFailed abandons a check (coordinator-side simulation error): the
+// candidate is cleared and the task requeues for a fresh worker
+// execution, without burning the retry budget.
+func (q *Queue) CheckFailed(digest string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	t, ok := q.tasks[digest]
-	if !ok || t.state != taskArbitrating {
+	if !ok || t.state != taskChecking {
 		return
 	}
-	t.votes = nil
+	t.cand = nil
 	q.requeueLocked(t)
 }
 
-// admitLocked finalizes a task with the admitted result, delivers it to
-// every waiter, and strikes every worker whose recorded vote disagreed.
+// admitLocked finalizes a task with the admitted result and delivers it
+// to every waiter.
 func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) CompleteResult {
 	q.removePending(t.digest)
 	t.state = taskDone
 	t.res = res
 	t.resDigest = resDigest
-	blamed := make(map[string]bool)
-	for _, v := range t.votes {
-		if v.digest == resDigest {
-			if !blamed[v.worker] {
-				q.workerLocked(v.worker).completed++
-				blamed[v.worker] = true
-			}
-			continue
-		}
-		q.stats.DivergentVotes++
-		q.strikeDivergenceLocked(v.worker, "quorum rejected its result for cell "+t.cell.Label)
-	}
-	t.votes = nil
+	t.cand = nil
 	q.stats.Completed++
 	waiters := len(t.waiters)
 	q.deliverLocked(t, Outcome{Res: res, ResDigest: resDigest})
@@ -1324,28 +1057,23 @@ func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) Comp
 }
 
 // Fail reports a worker-side execution failure. A failure under a stale
-// lease is ignored (the task was already requeued or completed). Within
-// the attempt budget the task requeues; exhausting it delivers the error
-// to every waiter. When a sibling lease (hedge or primary) survives, the
-// task stays leased — the other execution may still succeed — and the
-// failure is only terminal once no lease remains.
+// lease, or naming another cell than its lease, is ignored (the task was
+// already requeued or completed). Within the attempt budget the task
+// requeues; exhausting it delivers the error to every waiter.
 func (q *Queue) Fail(leaseID, digest, msg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, live := q.leases[leaseID]
-	q.dropLeaseLocked(leaseID)
 	if !live || l.digest != digest {
 		return
 	}
+	q.dropLeaseLocked(leaseID)
 	t, ok := q.tasks[digest]
-	if !ok || t.state != taskLeased || !t.holds(leaseID) {
+	if !ok || t.lease != l {
 		return
 	}
-	t.detach(leaseID)
+	t.lease = nil
 	t.attempts++
-	if t.lease != nil {
-		return // sibling still running; let it ride
-	}
 	if t.attempts >= t.maxAttempts {
 		t.state = taskFailed
 		t.err = fmt.Errorf("campaign: cell %s failed after %d attempts: %s", t.cell.Label, t.attempts, msg)
@@ -1367,29 +1095,29 @@ func (q *Queue) ExpireLeases() int {
 
 // expireLocked requeues tasks with lapsed leases. An expiry does not
 // consume an attempt: the worker may be slow rather than broken; its
-// eventual publish is judged by the fencing and attestation rules. An
-// expired primary with a live hedge promotes the hedge instead of
-// requeueing.
+// eventual publish is judged by the fencing and attestation rules.
 func (q *Queue) expireLocked() int {
 	now := q.now()
 	expired := 0
-	for id, l := range q.leases {
+	for _, l := range q.leases {
 		if now.Before(l.deadline) {
 			continue
 		}
-		q.dropLeaseLocked(id)
+		q.revokeLocked(l)
 		expired++
-		t, ok := q.tasks[l.digest]
-		if !ok || t.state != taskLeased || !t.holds(id) {
-			continue
-		}
-		t.detach(id)
-		if t.lease == nil {
-			q.requeueLocked(t)
-		}
 	}
 	q.stats.Expired += expired
 	return expired
+}
+
+// revokeLocked retires a live lease and returns its task to pending
+// without burning an attempt.
+func (q *Queue) revokeLocked(l *lease) {
+	q.dropLeaseLocked(l.id)
+	if t, ok := q.tasks[l.digest]; ok && t.lease == l {
+		t.lease = nil
+		q.requeueLocked(t)
+	}
 }
 
 // workerLocked returns (creating if needed) the reputation record.
@@ -1442,21 +1170,11 @@ func (q *Queue) quarantineLocked(worker string, rec *workerRec, reason string) {
 	}
 }
 
-// drainWorkerLocked requeues every task the worker currently leases
-// (promoting a sibling lease where one survives).
+// drainWorkerLocked requeues every task the worker currently leases.
 func (q *Queue) drainWorkerLocked(worker string) {
-	for id, l := range q.leases {
-		if l.worker != worker {
-			continue
-		}
-		q.dropLeaseLocked(id)
-		t, ok := q.tasks[l.digest]
-		if !ok || t.state != taskLeased || !t.holds(id) {
-			continue
-		}
-		t.detach(id)
-		if t.lease == nil {
-			q.requeueLocked(t)
+	for _, l := range q.leases {
+		if l.worker == worker {
+			q.revokeLocked(l)
 		}
 	}
 }
@@ -1492,39 +1210,6 @@ func (q *Queue) removePending(digest string) {
 			q.pending = append(q.pending[:i], q.pending[i+1:]...)
 			return
 		}
-	}
-}
-
-// latestVote returns the canonical digest of the worker's most recent
-// vote on the task ("" if it never voted).
-func (t *task) latestVote(worker string) string {
-	for i := len(t.votes) - 1; i >= 0; i-- {
-		if t.votes[i].worker == worker {
-			return t.votes[i].digest
-		}
-	}
-	return ""
-}
-
-// votedBy reports whether the worker already voted on the task.
-func (t *task) votedBy(worker string) bool { return t.latestVote(worker) != "" }
-
-// holds reports whether leaseID is one of the task's live leases.
-func (t *task) holds(leaseID string) bool {
-	return (t.lease != nil && t.lease.id == leaseID) || (t.hedge != nil && t.hedge.id == leaseID)
-}
-
-// detach removes leaseID from the task's lease slots. Detaching the
-// primary promotes a live hedge into its place, so t.lease == nil after
-// a detach means no execution remains in flight.
-func (t *task) detach(leaseID string) {
-	if t.hedge != nil && t.hedge.id == leaseID {
-		t.hedge = nil
-		return
-	}
-	if t.lease != nil && t.lease.id == leaseID {
-		t.lease = t.hedge
-		t.hedge = nil
 	}
 }
 

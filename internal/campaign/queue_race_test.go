@@ -9,17 +9,19 @@ import (
 )
 
 // TestQueueConcurrentHammer drives Lease/Complete/Fail/Renew/ExpireLeases
-// from many goroutines at once — with quorum verification on and an
-// occasional divergent vote mixed in — and checks the one invariant that
-// must hold under any interleaving: every waiter receives exactly one
-// outcome. Run under -race this also pins the queue's locking.
+// from many goroutines at once — with verification on, checks resolved or
+// failed by concurrent checker goroutines, and an occasional divergent
+// publish mixed in — and checks the invariants that must hold under any
+// interleaving: every waiter receives exactly one outcome and no task
+// ends with a live lease. Run under -race this also pins the queue's
+// locking.
 func TestQueueConcurrentHammer(t *testing.T) {
 	const (
 		cells   = 32
 		workers = 8
 	)
 	q := NewQueue(40 * time.Millisecond) // short TTL: real expiries under load
-	q.ConfigureVerification(0.5, 2)      // mixed verified/unverified population
+	q.ConfigureVerification(0.5)         // mixed verified/unverified population
 	q.ConfigureReputation(0, 0)          // hammer workers diverge on purpose; no quarantine
 
 	chans := make([]chan Outcome, cells)
@@ -68,9 +70,44 @@ func TestQueueConcurrentHammer(t *testing.T) {
 		}
 	}()
 
+	// Checkers play the coordinator: every third check fails and requeues
+	// its cell, the rest admit the canonical result.
+	canonical := fakeResult(1)
+	canonicalDigest, err := ResultDigest(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := make(chan string)
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1; ; n++ {
+				select {
+				case <-done:
+					return
+				case digest := <-checks:
+					if n%3 == 0 {
+						q.CheckFailed(digest)
+					} else {
+						q.ResolveCheck(digest, canonicalDigest, canonical)
+					}
+				}
+			}
+		}()
+	}
+	check := func(out CompleteResult, digest string) {
+		if out.Verdict == VerdictNeedCheck {
+			select {
+			case checks <- digest:
+			case <-done:
+			}
+		}
+	}
+
 	// Worker goroutines: lease, then complete honestly, diverge, fail, or
-	// abandon depending on a per-worker counter. Divergent and tied
-	// quorums are resolved by the publisher itself (the arbiter role).
+	// abandon depending on a per-worker counter. Publishes of verified
+	// cells are handed to the checkers.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -96,27 +133,9 @@ func TestQueueConcurrentHammer(t *testing.T) {
 				case step%5 == 0:
 					// Divergent publish: self-consistent but wrong.
 					q.Renew(g.Lease)
-					out := q.Complete(honestPublish(t, g, fakeResult(666)))
-					if out.Verdict == VerdictNeedArbiter {
-						canonical := fakeResult(1)
-						d, err := ResultDigest(canonical)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						q.ResolveArbiter(g.Digest, d, canonical)
-					}
+					check(q.Complete(honestPublish(t, g, fakeResult(666))), g.Digest)
 				default:
-					out := q.Complete(honestPublish(t, g, fakeResult(1)))
-					if out.Verdict == VerdictNeedArbiter {
-						canonical := fakeResult(1)
-						d, err := ResultDigest(canonical)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						q.ResolveArbiter(g.Digest, d, canonical)
-					}
+					check(q.Complete(honestPublish(t, g, canonical)), g.Digest)
 				}
 			}
 		}(w)
@@ -144,5 +163,15 @@ func TestQueueConcurrentHammer(t *testing.T) {
 	}
 	if pending, leased := q.Depth(); pending != 0 || leased != 0 {
 		t.Fatalf("queue depth = %d pending / %d leased after all outcomes delivered", pending, leased)
+	}
+	if st.VerifiedCells == 0 || st.Checks == 0 {
+		t.Fatalf("check flow not exercised: %+v", st)
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, tk := range q.tasks {
+		if tk.lease != nil || tk.cand != nil {
+			t.Fatalf("task %s ended in state %d with lease %v, candidate %v", short(tk.digest), tk.state, tk.lease, tk.cand)
+		}
 	}
 }

@@ -195,11 +195,7 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 	w.mu.Lock()
 	w.stats.Leased++
 	w.mu.Unlock()
-	verifyTag := ""
-	if g.Verify {
-		verifyTag = ", verify"
-	}
-	w.logf("worker %s: leased %s (%s, attempt %d%s)", w.name, g.Digest[:12], g.Cell.Label, g.Attempt, verifyTag)
+	w.logf("worker %s: leased %s (%s, attempt %d)", w.name, g.Digest[:12], g.Cell.Label, g.Attempt)
 
 	stopBeat := w.heartbeat(ctx, g)
 	res, err := w.execute(ctx, g)
@@ -279,25 +275,18 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 // with it. A grant carrying a campaign deadline caps the simulation
 // context at that absolute instant, so a deadline-expired campaign
 // cancels its in-flight simulations instead of wasting worker time on
-// results nobody will wait for. A verification grant instead runs on a
-// fresh, storeless engine: the whole point of the quorum is an
-// independent re-execution, so serving the vote from the shared store
-// (or this worker's cache) would just echo the first answer back.
+// results nobody will wait for.
 func (w *Worker) execute(ctx context.Context, g Grant) (*machine.Result, error) {
 	if !g.Deadline.IsZero() {
 		dctx, cancel := context.WithDeadline(ctx, g.Deadline)
 		defer cancel()
 		ctx = dctx
 	}
-	eng := w.engine
-	if g.Verify {
-		eng = sweep.New(1)
-	}
-	eng.SetCellTimeout(g.CellTimeout)
-	eng.SetSimulator(func(c sweep.Cell) (*machine.Result, error) {
+	w.engine.SetCellTimeout(g.CellTimeout)
+	w.engine.SetSimulator(func(c sweep.Cell) (*machine.Result, error) {
 		return sweep.SimulateContext(ctx, c)
 	})
-	results, err := eng.Run(ctx, []sweep.Cell{g.Cell}, 1)
+	results, err := w.engine.Run(ctx, []sweep.Cell{g.Cell}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func (f *FrontEnd) Done() bool { return f.remaining == 0 }
 // Remaining returns the ops not yet completed.
 func (f *FrontEnd) Remaining() int { return f.remaining }
 
-// NextReady returns the next issueable op under round-robin CU arbitration.
+// NextReady returns the next issueable op, picking CUs round-robin.
 // ok=false means nothing can issue now; wakeAt then carries the earliest
 // cycle at which some CU becomes eligible (sim.MaxCycle when all are only
 // waiting for completions).

@@ -257,7 +257,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 
 // QuarantineObject moves the entry for keyDigest (if present) into
 // quarantine/, reporting whether an object was there to move. Used when
-// an authority above the store — a verification quorum — establishes
+// an authority above the store — the coordinator's check — establishes
 // that a stored value, though internally consistent, is wrong.
 func (s *Store) QuarantineObject(keyDigest string) bool {
 	path := s.objectPath(keyDigest)

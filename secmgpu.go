@@ -268,14 +268,12 @@ type ServeOptions struct {
 	TLSCertFile string
 	TLSKeyFile  string
 	// VerifyFraction is the fraction of cells (deterministically
-	// sampled by digest) the coordinator re-executes on VerifyQuorum
-	// independent workers before admitting a result, quarantining
-	// workers whose answers diverge. 0 disables verification; 1
-	// verifies every cell.
+	// sampled by digest) the coordinator checks: a worker executes the
+	// cell once, the coordinator re-executes it itself and admits its
+	// own result, and workers whose answers diverge are quarantined.
+	// Grants do not tell workers which cells are checked. 0 disables
+	// verification; 1 checks every cell.
 	VerifyFraction float64
-	// VerifyQuorum is the number of independent executions a verified
-	// cell needs (default and minimum 2).
-	VerifyQuorum int
 	// ScrubInterval, when positive, makes the coordinator periodically
 	// re-verify every stored object at rest, quarantine corruption,
 	// and resubmit the damaged cells for re-simulation.
@@ -288,7 +286,7 @@ type ServeOptions struct {
 	// many cells are pending on the work queue.
 	MaxQueueDepth int
 	// BrownoutMB, when positive, is a heap watermark in MiB: above it
-	// the coordinator browns out, pausing verification-quorum sampling
+	// the coordinator browns out, pausing verification sampling
 	// and scrub passes until the heap recedes.
 	BrownoutMB int
 	// Drain, when non-nil, triggers a graceful drain on close: new
@@ -323,7 +321,6 @@ func Serve(ctx context.Context, addr string, opts ServeOptions) error {
 		TLSCertFile:    opts.TLSCertFile,
 		TLSKeyFile:     opts.TLSKeyFile,
 		VerifyFraction: opts.VerifyFraction,
-		VerifyQuorum:   opts.VerifyQuorum,
 		ScrubInterval:  opts.ScrubInterval,
 		MaxCampaigns:   opts.MaxCampaigns,
 		MaxQueueDepth:  opts.MaxQueueDepth,
@@ -348,9 +345,8 @@ func CoordinatorHandler(opts ServeOptions) (http.Handler, func(), error) {
 	}
 	c := campaign.NewCoordinator(campaign.Options{
 		Store: st, LeaseTTL: opts.LeaseTTL, AuthToken: opts.AuthToken, Logf: opts.Logf,
-		VerifyFraction: opts.VerifyFraction, VerifyQuorum: opts.VerifyQuorum,
-		ScrubInterval: opts.ScrubInterval,
-		MaxCampaigns:  opts.MaxCampaigns, MaxQueueDepth: opts.MaxQueueDepth, BrownoutMB: opts.BrownoutMB,
+		VerifyFraction: opts.VerifyFraction, ScrubInterval: opts.ScrubInterval,
+		MaxCampaigns: opts.MaxCampaigns, MaxQueueDepth: opts.MaxQueueDepth, BrownoutMB: opts.BrownoutMB,
 	})
 	return c.Handler(), c.Close, nil
 }
